@@ -58,7 +58,11 @@ fn assert_binary_backend_io_advantage() {
             "query {}: backends must answer identically",
             c.query_index
         );
-        assert_eq!(c.objects_read, b.objects_read, "query {}", c.query_index);
+        assert_eq!(
+            c.io.objects_read, b.io.objects_read,
+            "query {}",
+            c.query_index
+        );
     }
     let (cb, bb) = (run_csv.total_bytes_read(), run_bin.total_bytes_read());
     assert!(run_bin.total_objects_read() > 0, "workload must adapt");
@@ -117,7 +121,11 @@ fn assert_zone_backend_io_advantage() {
             "query {}: identical CI bounds",
             b.query_index
         );
-        assert_eq!(b.objects_read, z.objects_read, "query {}", b.query_index);
+        assert_eq!(
+            b.io.objects_read, z.io.objects_read,
+            "query {}",
+            b.query_index
+        );
     }
     assert_eq!(truth_bin, truth_zone, "pushdown must not change the truth");
     assert!(run_zone.total_objects_read() > 0, "workload must adapt");

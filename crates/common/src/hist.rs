@@ -2,10 +2,10 @@
 //!
 //! Latency distributions (p50/p99) are first-class observables in this
 //! workspace: per-request fetch times flow into [`IoCounters`] via an
-//! [`AtomicHistogram`], snapshots carry a plain [`LatencyHistogram`]
-//! through `IoSnapshot` → `ProgressStep` → `QueryRecord` → the report
-//! CSV, and the `pai-server` worker pool reuses the same type for
-//! served-query service times.
+//! [`AtomicHistogram`] (the `fetch_hist` row of the meter table in
+//! `counters.rs`), snapshots carry a plain [`LatencyHistogram`]
+//! wherever an `IoSnapshot` goes, and the `pai-server` worker pool
+//! reuses the same type for served-query service times.
 //!
 //! The representation is deliberately coarse: 32 log2-spaced
 //! microsecond buckets (`0`, `[1,2)`, `[2,4)`, … with the last bucket

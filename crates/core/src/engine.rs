@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use pai_common::geometry::Rect;
 use pai_common::{
-    AggregateFunction, AggregateValue, AttrId, Interval, PaiError, Result, RowLocator,
+    AggregateFunction, AggregateValue, AttrId, Interval, IoSnapshot, PaiError, Result, RowLocator,
 };
 use pai_index::eval::{query_attrs, QueryStats};
 use pai_index::{
@@ -47,93 +47,11 @@ pub struct ProgressStep {
     pub error_bound: f64,
     /// Estimate of the first aggregate at this point (`None` when empty).
     pub estimate: Option<f64>,
-    /// Cumulative objects read from the file for this query.
-    pub objects_read: u64,
-    /// Cumulative bytes read from the file for this query — the metric that
-    /// separates storage backends (a binary columnar read fetches a few
-    /// values where CSV re-reads a whole text record).
-    pub bytes_read: u64,
-    /// Cumulative `read_rows` calls issued for this query — the metric the
-    /// batched adaptation pipeline improves (many tiles per call).
-    pub read_calls: u64,
-    /// Cumulative storage blocks materialized for this query — the
-    /// block-structured backends' unit of I/O (0 on CSV).
-    pub blocks_read: u64,
-    /// Cumulative blocks a zone-map pushdown proved irrelevant and never
-    /// touched — the metric the `PaiZone` backend improves.
-    pub blocks_skipped: u64,
-    /// Cumulative ranged HTTP requests issued for this query (0 on local
-    /// backends) — the metric request coalescing improves.
-    pub http_requests: u64,
-    /// Cumulative wire bytes those requests moved, both directions.
-    pub http_bytes: u64,
-    /// Cumulative remote requests retried after transient faults.
-    pub retries: u64,
-    /// Peak concurrently in-flight fetch requests observed so far (1 on a
-    /// sequential remote fetch path, 0 on local backends).
-    pub fetch_inflight_peak: u64,
-    /// In-request fetch time over wall fetch time so far: > 1 when the
-    /// overlapped pipeline hid request latency behind other requests, ~1
-    /// sequentially, 0 when nothing was fetched remotely.
-    pub overlap_ratio: f64,
-    /// Cumulative adaptive part-sizer parameter changes.
-    pub parts_resized: u64,
-    /// Cumulative spans served from the block cache (0 uncached) — the
-    /// metric the tiered cache improves on re-exploration.
-    pub cache_hits: u64,
-    /// Cumulative spans the cache handed to the transport.
-    pub cache_misses: u64,
-    /// Cumulative cache entries evicted under budget pressure.
-    pub cache_evictions: u64,
-    /// Cumulative bytes written to the cache's disk-spill tier.
-    pub cache_spill_bytes: u64,
-    /// Bytes resident in the cache's memory tier at this point (a gauge).
-    pub cache_mem_bytes: u64,
-    /// Approximate median per-request fetch latency (µs) over the
-    /// query so far, from the log2-bucketed fetch histogram (0 when no
-    /// remote fetch has run).
-    pub fetch_p50_us: u64,
-    /// Approximate 99th-percentile per-request fetch latency (µs) over
-    /// the query so far (0 when no remote fetch has run).
-    pub fetch_p99_us: u64,
-    /// Queries answered purely from block synopses so far (0 or 1 within
-    /// one query's trace; cumulative in session meters).
-    pub synopsis_hits: u64,
-    /// Block synopses consulted by synopsis-path answers.
-    pub synopsis_blocks: u64,
-    /// Approximate in-memory bytes of those synopses — the metadata
-    /// footprint that substituted for data I/O.
-    pub synopsis_bytes: u64,
+    /// The query's I/O so far: every meter's delta since the query began
+    /// (all zero at the metadata-only step 0; a synopsis hit carries the
+    /// I/O of the synopsis answer itself).
+    pub io: IoSnapshot,
 }
-
-/// An all-zero step, the base for struct-update construction of steps that
-/// only carry a few live fields (the metadata-only step 0, synopsis hits).
-const ZERO_STEP: ProgressStep = ProgressStep {
-    tiles_processed: 0,
-    error_bound: 0.0,
-    estimate: None,
-    objects_read: 0,
-    bytes_read: 0,
-    read_calls: 0,
-    blocks_read: 0,
-    blocks_skipped: 0,
-    http_requests: 0,
-    http_bytes: 0,
-    retries: 0,
-    fetch_inflight_peak: 0,
-    overlap_ratio: 0.0,
-    parts_resized: 0,
-    cache_hits: 0,
-    cache_misses: 0,
-    cache_evictions: 0,
-    cache_spill_bytes: 0,
-    cache_mem_bytes: 0,
-    fetch_p50_us: 0,
-    fetch_p99_us: 0,
-    synopsis_hits: 0,
-    synopsis_blocks: 0,
-    synopsis_bytes: 0,
-};
 
 /// Result of one approximate evaluation.
 #[derive(Debug, Clone)]
@@ -191,6 +109,9 @@ impl EvalCtx<'_> {
         // which must happen before candidates capture their metadata view.
         if self.config.synopsis {
             if let Some(blocks) = self.file.block_synopses() {
+                // The hit step reports the synopsis answer's own I/O, not
+                // a lazy synopsis derivation `block_synopses` may have run.
+                let io_syn = self.file.counters().snapshot();
                 crate::synopsis::seed_missing_global_bounds(self.index, blocks, &attrs);
                 if let StopRule::Accuracy { phi } = stop {
                     if let Some(hit) = synopsis_hit(
@@ -216,10 +137,7 @@ impl EvalCtx<'_> {
                                 tiles_processed: 0,
                                 error_bound: hit.error_bound,
                                 estimate: hit.values.first().and_then(|v| v.as_f64()),
-                                synopsis_hits: stats.io.synopsis_hits,
-                                synopsis_blocks: stats.io.synopsis_blocks,
-                                synopsis_bytes: stats.io.synopsis_bytes,
-                                ..ZERO_STEP
+                                io: self.file.counters().snapshot().since(&io_syn),
                             });
                         }
                         return Ok(ApproxResult { stats, ..hit });
@@ -245,7 +163,7 @@ impl EvalCtx<'_> {
                 tiles_processed: 0,
                 error_bound: bound,
                 estimate: estimates.first().and_then(|e| e.value.as_f64()),
-                ..ZERO_STEP
+                io: IoSnapshot::default(),
             });
         }
         'outer: loop {
@@ -321,32 +239,11 @@ impl EvalCtx<'_> {
                 step += 1;
                 (estimates, bound) = assess(self.config, aggs, &state);
                 if let Some(t) = trace.as_deref_mut() {
-                    let io = file.counters().snapshot().since(&io0);
                     t.push(ProgressStep {
                         tiles_processed: step,
                         error_bound: bound,
                         estimate: estimates.first().and_then(|e| e.value.as_f64()),
-                        objects_read: io.objects_read,
-                        bytes_read: io.bytes_read,
-                        read_calls: io.read_calls,
-                        blocks_read: io.blocks_read,
-                        blocks_skipped: io.blocks_skipped,
-                        http_requests: io.http_requests,
-                        http_bytes: io.http_bytes,
-                        retries: io.retries,
-                        fetch_inflight_peak: io.fetch_inflight_peak,
-                        overlap_ratio: io.overlap_ratio(),
-                        parts_resized: io.parts_resized,
-                        cache_hits: io.cache_hits,
-                        cache_misses: io.cache_misses,
-                        cache_evictions: io.cache_evictions,
-                        cache_spill_bytes: io.cache_spill_bytes,
-                        cache_mem_bytes: io.cache_mem_bytes,
-                        fetch_p50_us: io.fetch_hist.p50_us(),
-                        fetch_p99_us: io.fetch_hist.p99_us(),
-                        synopsis_hits: io.synopsis_hits,
-                        synopsis_blocks: io.synopsis_blocks,
-                        synopsis_bytes: io.synopsis_bytes,
+                        io: file.counters().snapshot().since(&io0),
                     });
                 }
                 match stop {
@@ -421,8 +318,13 @@ impl EvalCtx<'_> {
             attrs,
             self.config,
         )?;
-        let fetched = fetch_plans(self.file, std::slice::from_ref(&plan), window, self.config)?;
-        self.apply_one(state, &plan, &fetched[0], window, stats)
+        fetch_plans_each(
+            self.file,
+            std::slice::from_ref(&plan),
+            window,
+            self.config,
+            |_, values| self.apply_one(state, &plan, values, window, stats),
+        )
     }
 
     /// Applies one fetched plan, folding the now-exact contribution into
@@ -515,41 +417,6 @@ pub(crate) fn plan_candidate(
     })
 }
 
-/// Stage 2 of the pipeline: fetches every plan's locators with as few
-/// `read_rows` calls as possible — one coalesced cross-tile call per
-/// distinct attribute set (plans with no attributes to read are answered
-/// without touching the file). Returns per-plan value rows, positionally
-/// aligned with each plan's locators.
-///
-/// The query `window` is pushed down to the storage backend when every
-/// plan's locator set is provably window-only: enrichment plans always are
-/// (their tiles are fully contained in the window), partial-tile plans are
-/// under [`ReadPolicy::WindowOnly`] (the default). Under
-/// [`ReadPolicy::FullTile`] the hint is withheld — those plans consume
-/// out-of-window values for child enrichment, which a zone-map skip would
-/// corrupt.
-pub(crate) fn fetch_plans(
-    file: &dyn RawFile,
-    plans: &[BatchPlan],
-    window: &Rect,
-    config: &EngineConfig,
-) -> Result<Vec<Vec<Vec<f64>>>> {
-    let pushdown = batch_pushdown(plans, window, config);
-    let mut out: Vec<Option<Vec<Vec<f64>>>> = plans.iter().map(|_| None).collect();
-    let units = fetch_units(plans, &mut out);
-    for (attrs, members) in units {
-        let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
-        let fetched = read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism)?;
-        for (i, rows) in members.into_iter().zip(fetched) {
-            out[i] = Some(rows);
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|o| o.expect("every plan fetched"))
-        .collect())
-}
-
 /// The batch's window pushdown hint. The window-only safety rule has one
 /// home: `pai_index::fetch_window`. The batch-level extension on top: an
 /// all-enrichment batch is safe under any read policy (enrich tiles are
@@ -590,10 +457,21 @@ fn fetch_units<'p>(
     units
 }
 
-/// Streamed fetch + apply: fetches every plan exactly as [`fetch_plans`]
-/// would and invokes `on_plan(i, values)` for each plan **in plan order**,
-/// overlapping later fetch units with earlier applies when
+/// Stage 2 + 3 of the pipeline: fetches every plan's locators with as few
+/// `read_rows` calls as possible — one coalesced cross-tile call per
+/// distinct attribute set (plans with no attributes to read are answered
+/// without touching the file) — and invokes `on_plan(i, values)` for each
+/// plan **in plan order**, with value rows positionally aligned with the
+/// plan's locators. Later fetch units overlap earlier applies when
 /// `config.fetch_workers > 1`.
+///
+/// The query `window` is pushed down to the storage backend when every
+/// plan's locator set is provably window-only: enrichment plans always are
+/// (their tiles are fully contained in the window), partial-tile plans are
+/// under [`ReadPolicy::WindowOnly`] (the default). Under
+/// [`ReadPolicy::FullTile`] the hint is withheld — those plans consume
+/// out-of-window values for child enrichment, which a zone-map skip would
+/// corrupt.
 ///
 /// Equivalence guarantees, at any worker count:
 /// * The same fetch units are issued — grouping, pushdown, and the
@@ -623,7 +501,7 @@ pub(crate) fn fetch_plans_each(
         // the fetch-then-apply loop this helper generalizes.
         for (attrs, members) in units {
             let locs: Vec<&[RowLocator]> = members.iter().map(|&i| plans[i].locators()).collect();
-            let fetched = read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism)?;
+            let fetched = read_row_groups(file, &locs, attrs, pushdown)?;
             for (i, rows) in members.into_iter().zip(fetched) {
                 out[i] = Some(rows);
             }
@@ -654,7 +532,7 @@ pub(crate) fn fetch_plans_each(
                 let (attrs, members) = &units[u];
                 let locs: Vec<&[RowLocator]> =
                     members.iter().map(|&i| plans[i].locators()).collect();
-                let res = read_row_groups(file, &locs, attrs, pushdown, config.fetch_parallelism);
+                let res = read_row_groups(file, &locs, attrs, pushdown);
                 if tx.send((u, res)).is_err() {
                     break;
                 }
@@ -1374,14 +1252,14 @@ mod tests {
         // Bounds tighten monotonically; I/O grows monotonically.
         for w in trace.windows(2) {
             assert!(w[1].error_bound <= w[0].error_bound + 1e-12);
-            assert!(w[1].objects_read >= w[0].objects_read);
-            assert!(w[1].bytes_read >= w[0].bytes_read);
+            assert!(w[1].io.objects_read >= w[0].io.objects_read);
+            assert!(w[1].io.bytes_read >= w[0].io.bytes_read);
             assert_eq!(w[1].tiles_processed, w[0].tiles_processed + 1);
         }
         // The final step's meters match the result's I/O accounting.
         let last = trace.last().unwrap();
-        assert_eq!(last.objects_read, res.stats.io.objects_read);
-        assert_eq!(last.bytes_read, res.stats.io.bytes_read);
+        assert_eq!(last.io.objects_read, res.stats.io.objects_read);
+        assert_eq!(last.io.bytes_read, res.stats.io.bytes_read);
         assert_eq!(trace.last().unwrap().error_bound, res.error_bound);
         // Every intermediate estimate is within its own (wider) bound of
         // the final answer — the progressive rendering never lies.
@@ -1522,12 +1400,15 @@ mod tests {
             .unwrap();
         assert!(res.met_constraint);
         for w in trace.windows(2) {
-            assert!(w[1].blocks_read >= w[0].blocks_read, "monotone block I/O");
+            assert!(
+                w[1].io.blocks_read >= w[0].io.blocks_read,
+                "monotone block I/O"
+            );
         }
         let last = trace.last().unwrap();
-        assert_eq!(last.blocks_read, res.stats.io.blocks_read);
-        assert_eq!(last.blocks_skipped, res.stats.io.blocks_skipped);
-        assert!(last.blocks_read > 0, "zone fetches are block-metered");
+        assert_eq!(last.io.blocks_read, res.stats.io.blocks_read);
+        assert_eq!(last.io.blocks_skipped, res.stats.io.blocks_skipped);
+        assert!(last.io.blocks_read > 0, "zone fetches are block-metered");
     }
 
     #[test]
@@ -1609,9 +1490,9 @@ mod tests {
         assert_eq!(res.stats.io.synopsis_hits, 1);
         assert_eq!(trace.len(), 1, "hit = one metadata-only step");
         assert_eq!(trace[0].tiles_processed, 0);
-        assert_eq!(trace[0].synopsis_hits, 1);
-        assert!(trace[0].synopsis_bytes > 0);
-        assert_eq!(trace[0].objects_read, 0);
+        assert_eq!(trace[0].io.synopsis_hits, 1);
+        assert!(trace[0].io.synopsis_bytes > 0);
+        assert_eq!(trace[0].io.objects_read, 0);
     }
 
     #[test]

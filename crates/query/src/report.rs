@@ -2,89 +2,82 @@
 //! statistics quoted in the paper's text (speedups at a query index,
 //! overall speedups, time-vs-objects correlation).
 
-use crate::runner::MethodRun;
+use crate::runner::{MethodRun, QueryRecord};
 
-/// Per-query CSV with one time, objects, bytes, read-calls, blocks-read,
-/// blocks-skipped, http-requests, http-bytes, retries, fetch-inflight-peak,
-/// overlap-ratio, parts-resized, cache-hits, cache-misses, cache-evictions,
-/// cache-spill-bytes, cache-mem-bytes, and lock-wait column per method;
-/// loadable into any plotting tool to re-draw Figure 2 (times/objects),
-/// compare storage backends (bytes, blocks_read/blocks_skipped — the
-/// zone-map pushdown meters), quantify the batched-pipeline win
-/// (read_calls, lock_wait_ms), audit a remote run (http_requests/http_bytes
-/// — the request-coalescing meters — retries, the fault-recovery meter, and
-/// fetch_inflight_peak/overlap_ratio/parts_resized — the overlapped
-/// fetch-pipeline and adaptive part-sizing meters — and
-/// fetch_p50_us/fetch_p99_us — approximate per-request latency quantiles
-/// from the log2-bucketed fetch histogram), or trace the tiered
-/// block cache (cache_hits/cache_misses/cache_evictions/cache_spill_bytes
-/// are per-query deltas; cache_mem_bytes is the memory-tier level after the
-/// query — a gauge, not a delta), audit the synopsis-first path
-/// (synopsis_hits/synopsis_blocks/synopsis_bytes — a hit is a query
-/// answered with zero data I/O purely from block synopses), or check the
-/// pre-evaluation cost model (predicted_bytes — the bytes an exact run of
-/// the query was predicted to read, an upper bound the cost-estimate gate
-/// tracks against the metered bytes), or follow a streaming session
-/// (rows_ingested/compactions/blocks_rewritten/cache_invalidations are
-/// per-query deltas; delta_blocks is the append-order block count still
-/// alive after the query — a gauge the compactor drives back down).
+/// The per-method CSV columns: header suffix (`{label}_{suffix}`) and cell
+/// formatter, in column order. Meter columns read the record's
+/// [`IoSnapshot`](pai_common::IoSnapshot), so their meaning is the meter's
+/// doc line in `pai_common::counters`: per-query deltas, except the gauges
+/// `cache_mem_bytes` and `delta_blocks` (the level when the query
+/// finished) and the peak `fetch_inflight_peak`. `overlap_ratio` is
+/// [`IoSnapshot::overlap_ratio`](pai_common::IoSnapshot::overlap_ratio);
+/// `fetch_p50_us`/`fetch_p99_us` are quantiles of the log2-bucketed fetch
+/// histogram; `predicted_bytes` is the cost model's pre-evaluation bytes
+/// for an exact run of the query.
+type Column = (&'static str, fn(&QueryRecord) -> String);
+
+const COLUMNS: &[Column] = &[
+    ("time_ms", |r| {
+        format!("{:.3}", r.elapsed.as_secs_f64() * 1e3)
+    }),
+    ("objects", |r| r.io.objects_read.to_string()),
+    ("bytes", |r| r.io.bytes_read.to_string()),
+    ("read_calls", |r| r.io.read_calls.to_string()),
+    ("blocks_read", |r| r.io.blocks_read.to_string()),
+    ("blocks_skipped", |r| r.io.blocks_skipped.to_string()),
+    ("http_requests", |r| r.io.http_requests.to_string()),
+    ("http_bytes", |r| r.io.http_bytes.to_string()),
+    ("retries", |r| r.io.retries.to_string()),
+    ("fetch_inflight_peak", |r| {
+        r.io.fetch_inflight_peak.to_string()
+    }),
+    ("overlap_ratio", |r| format!("{:.3}", r.io.overlap_ratio())),
+    ("parts_resized", |r| r.io.parts_resized.to_string()),
+    ("fetch_p50_us", |r| r.io.fetch_hist.p50_us().to_string()),
+    ("fetch_p99_us", |r| r.io.fetch_hist.p99_us().to_string()),
+    ("cache_hits", |r| r.io.cache_hits.to_string()),
+    ("cache_misses", |r| r.io.cache_misses.to_string()),
+    ("cache_evictions", |r| r.io.cache_evictions.to_string()),
+    ("cache_spill_bytes", |r| r.io.cache_spill_bytes.to_string()),
+    ("cache_mem_bytes", |r| r.io.cache_mem_bytes.to_string()),
+    ("synopsis_hits", |r| r.io.synopsis_hits.to_string()),
+    ("synopsis_blocks", |r| r.io.synopsis_blocks.to_string()),
+    ("synopsis_bytes", |r| r.io.synopsis_bytes.to_string()),
+    ("rows_ingested", |r| r.io.rows_ingested.to_string()),
+    ("delta_blocks", |r| r.io.delta_blocks.to_string()),
+    ("compactions", |r| r.io.compactions.to_string()),
+    ("blocks_rewritten", |r| r.io.blocks_rewritten.to_string()),
+    ("cache_invalidations", |r| {
+        r.io.cache_invalidations.to_string()
+    }),
+    ("predicted_bytes", |r| r.predicted_bytes.to_string()),
+    ("lock_wait_ms", |r| {
+        format!("{:.3}", r.lock_wait.as_secs_f64() * 1e3)
+    }),
+];
+
+/// Per-query CSV: a `query` column, then every `COLUMNS` entry per
+/// method, and a blank cell wherever a method's run is shorter. Loadable
+/// into any plotting tool to re-draw Figure 2 (times/objects) or audit any
+/// meter per query.
 pub fn to_csv(runs: &[MethodRun]) -> String {
-    let mut header = String::from("query");
+    let mut out = String::from("query");
     for r in runs {
-        header.push_str(&format!(
-            ",{l}_time_ms,{l}_objects,{l}_bytes,{l}_read_calls,{l}_blocks_read,\
-             {l}_blocks_skipped,{l}_http_requests,{l}_http_bytes,{l}_retries,\
-             {l}_fetch_inflight_peak,{l}_overlap_ratio,{l}_parts_resized,\
-             {l}_fetch_p50_us,{l}_fetch_p99_us,\
-             {l}_cache_hits,{l}_cache_misses,{l}_cache_evictions,\
-             {l}_cache_spill_bytes,{l}_cache_mem_bytes,\
-             {l}_synopsis_hits,{l}_synopsis_blocks,{l}_synopsis_bytes,\
-             {l}_rows_ingested,{l}_delta_blocks,{l}_compactions,\
-             {l}_blocks_rewritten,{l}_cache_invalidations,\
-             {l}_predicted_bytes,{l}_lock_wait_ms",
-            l = r.label
-        ));
+        for (suffix, _) in COLUMNS {
+            out.push_str(&format!(",{}_{suffix}", r.label));
+        }
     }
-    let n = runs.iter().map(|r| r.records.len()).max().unwrap_or(0);
-    let mut out = header;
     out.push('\n');
+    let n = runs.iter().map(|r| r.records.len()).max().unwrap_or(0);
     for i in 0..n {
         out.push_str(&(i + 1).to_string());
         for r in runs {
-            match r.records.get(i) {
-                Some(rec) => out.push_str(&format!(
-                    ",{:.3},{},{},{},{},{},{},{},{},{},{:.3},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.3}",
-                    rec.elapsed.as_secs_f64() * 1e3,
-                    rec.objects_read,
-                    rec.bytes_read,
-                    rec.read_calls,
-                    rec.blocks_read,
-                    rec.blocks_skipped,
-                    rec.http_requests,
-                    rec.http_bytes,
-                    rec.retries,
-                    rec.fetch_inflight_peak,
-                    rec.overlap_ratio,
-                    rec.parts_resized,
-                    rec.fetch_hist.p50_us(),
-                    rec.fetch_hist.p99_us(),
-                    rec.cache_hits,
-                    rec.cache_misses,
-                    rec.cache_evictions,
-                    rec.cache_spill_bytes,
-                    rec.cache_mem_bytes,
-                    rec.synopsis_hits,
-                    rec.synopsis_blocks,
-                    rec.synopsis_bytes,
-                    rec.rows_ingested,
-                    rec.delta_blocks,
-                    rec.compactions,
-                    rec.blocks_rewritten,
-                    rec.cache_invalidations,
-                    rec.predicted_bytes,
-                    rec.lock_wait.as_secs_f64() * 1e3
-                )),
-                None => out.push_str(",,,,,,,,,,,,,,,,,,,,,,,,,,,,,"),
+            let rec = r.records.get(i);
+            for (_, cell) in COLUMNS {
+                out.push(',');
+                if let Some(rec) = rec {
+                    out.push_str(&cell(rec));
+                }
             }
         }
         out.push('\n');
@@ -264,8 +257,8 @@ pub fn summarize(exact: &MethodRun, approx: &MethodRun, focus_query: usize) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{Method, QueryRecord};
-    use pai_common::AggregateValue;
+    use crate::runner::Method;
+    use pai_common::{AggregateValue, IoSnapshot};
     use std::time::Duration;
 
     /// Synthetic run for the pure-math helpers (charts, correlation,
@@ -281,32 +274,27 @@ mod tests {
             .map(|(i, ((&t, &o), &b))| QueryRecord {
                 query_index: i,
                 elapsed: Duration::from_millis(t),
-                objects_read: o,
-                bytes_read: b,
-                read_calls: 2,
-                blocks_read: 4,
-                blocks_skipped: 1,
-                http_requests: 3,
-                http_bytes: 512,
-                retries: 1,
-                fetch_inflight_peak: 1,
-                overlap_ratio: 1.0,
-                parts_resized: 0,
-                fetch_hist: pai_common::LatencyHistogram::new(),
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_evictions: 0,
-                cache_spill_bytes: 0,
-                cache_mem_bytes: 0,
+                io: IoSnapshot {
+                    objects_read: o,
+                    bytes_read: b,
+                    read_calls: 2,
+                    blocks_read: 4,
+                    blocks_skipped: 1,
+                    http_requests: 3,
+                    http_bytes: 512,
+                    retries: 1,
+                    fetch_inflight_peak: 1,
+                    // An overlap ratio of 1.0.
+                    fetch_request_us: 1,
+                    fetch_wall_us: 1,
+                    rows_ingested: 7,
+                    delta_blocks: 5,
+                    compactions: 2,
+                    blocks_rewritten: 6,
+                    cache_invalidations: 3,
+                    ..IoSnapshot::default()
+                },
                 lock_wait: Duration::ZERO,
-                synopsis_hits: 0,
-                synopsis_blocks: 0,
-                synopsis_bytes: 0,
-                rows_ingested: 7,
-                delta_blocks: 5,
-                compactions: 2,
-                blocks_rewritten: 6,
-                cache_invalidations: 3,
                 predicted_bytes: 6 * b,
                 selected: 100,
                 tiles_partial: 4,
@@ -364,6 +352,36 @@ mod tests {
     }
 
     #[test]
+    fn csv_blank_cells_for_shorter_runs() {
+        let runs = vec![
+            fake_run("exact", &[10, 20, 30], &[1, 2, 3], &[64, 64, 64]),
+            fake_run("phi=5%", &[5], &[1], &[64]),
+        ];
+        let csv = to_csv(&runs);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(
+            lines.len(),
+            4,
+            "header + one line per query of the longest run"
+        );
+        let commas = |l: &str| l.matches(',').count();
+        for line in &lines {
+            assert_eq!(commas(line), commas(lines[0]), "ragged line: {line}");
+        }
+        let per_run = commas(lines[0]) / 2;
+        for line in &lines[2..] {
+            let cells: Vec<&str> = line.split(',').collect();
+            assert!(cells[1..=per_run].iter().all(|c| !c.is_empty()));
+            assert!(
+                cells[per_run + 1..].iter().all(|c| c.is_empty()),
+                "the shorter run's missing cells must be empty: {line}"
+            );
+        }
+        // Where both runs have a record, every cell is filled.
+        assert!(lines[1].split(',').all(|c| !c.is_empty()));
+    }
+
+    #[test]
     fn csv_embeds_real_meter_bytes() {
         use pai_core::EngineConfig;
         use pai_index::init::{GridSpec, InitConfig};
@@ -412,7 +430,7 @@ mod tests {
         for (i, rec) in run.records.iter().enumerate() {
             let line = csv.lines().nth(i + 1).unwrap();
             assert!(
-                line.contains(&format!(",{},{},", rec.bytes_read, rec.read_calls)),
+                line.contains(&format!(",{},{},", rec.io.bytes_read, rec.io.read_calls)),
                 "row {i} must carry the metered byte and call counts: {line}"
             );
         }

@@ -8,8 +8,9 @@
 
 use std::time::Duration;
 
-use pai_common::{AggregateValue, LatencyHistogram, PaiError, Result};
+use pai_common::{AggregateValue, IoSnapshot, LatencyHistogram, PaiError, Result};
 use pai_core::{ApproximateEngine, EngineConfig};
+use pai_index::eval::QueryStats;
 use pai_index::init::{build, InitConfig};
 use pai_index::ExactEngine;
 use pai_storage::raw::RawFile;
@@ -40,73 +41,12 @@ impl Method {
 pub struct QueryRecord {
     pub query_index: usize,
     pub elapsed: Duration,
-    pub objects_read: u64,
-    pub bytes_read: u64,
-    /// `read_rows` calls issued — the meter the batched adaptation
-    /// pipeline shrinks (many tiles per call).
-    pub read_calls: u64,
-    /// Storage blocks materialized (block-structured backends; 0 on CSV).
-    pub blocks_read: u64,
-    /// Blocks a zone-map pushdown proved irrelevant and skipped.
-    pub blocks_skipped: u64,
-    /// Ranged HTTP requests issued (0 on local backends) — the meter
-    /// request coalescing shrinks.
-    pub http_requests: u64,
-    /// Wire bytes those requests moved, both directions.
-    pub http_bytes: u64,
-    /// Remote requests retried after transient faults (5xx/drop/short
-    /// read); nonzero with correct answers means the backoff path worked.
-    pub retries: u64,
-    /// Peak concurrently in-flight fetch requests (1 on a sequential
-    /// remote fetch path, 0 on local backends) — the meter the overlapped
-    /// pipeline raises.
-    pub fetch_inflight_peak: u64,
-    /// In-request fetch time over wall fetch time (> 1 when the overlapped
-    /// pipeline hid request latency, ~1 sequentially, 0 local).
-    pub overlap_ratio: f64,
-    /// Adaptive part-sizer parameter changes during this query.
-    pub parts_resized: u64,
-    /// Spans served from the block cache during this query (0 uncached) —
-    /// the meter the tiered cache raises on re-exploration.
-    pub cache_hits: u64,
-    /// Spans the cache handed to the transport during this query.
-    pub cache_misses: u64,
-    /// Cache entries evicted under budget pressure during this query.
-    pub cache_evictions: u64,
-    /// Bytes spilled to the cache's disk tier during this query.
-    pub cache_spill_bytes: u64,
-    /// Bytes resident in the cache's memory tier when the query finished
-    /// (a gauge, not a per-query total).
-    pub cache_mem_bytes: u64,
-    /// Distribution of per-request fetch latencies during this query
-    /// (one observation per transport request; empty on local
-    /// backends). Mergeable across records via
-    /// [`LatencyHistogram::merge`]; `fetch_hist.p50_us()` /
-    /// `p99_us()` feed the report CSV.
-    pub fetch_hist: LatencyHistogram,
+    /// The query's I/O: every meter's delta over the evaluation (gauges
+    /// keep their level when the query finished; see
+    /// `pai_common::counters`).
+    pub io: IoSnapshot,
     /// Time spent waiting on index locks (zero for single-owner engines).
     pub lock_wait: Duration,
-    /// Whether this query was answered purely from block synopses (0/1;
-    /// summed across a run it counts zero-I/O answers).
-    pub synopsis_hits: u64,
-    /// Block synopses consulted by synopsis-path answers.
-    pub synopsis_blocks: u64,
-    /// Approximate in-memory bytes of those synopses.
-    pub synopsis_bytes: u64,
-    /// Rows appended through the streaming-ingest path during this query
-    /// (normally 0 — ingest runs between queries; threading the meter here
-    /// keeps mixed ingest/query traces in one CSV).
-    pub rows_ingested: u64,
-    /// Delta blocks alive when the query finished (a gauge, not a delta;
-    /// 0 on sealed backends, shrinks when the compactor runs).
-    pub delta_blocks: u64,
-    /// Z-order compactions installed while this query ran.
-    pub compactions: u64,
-    /// Delta blocks rewritten by those compactions.
-    pub blocks_rewritten: u64,
-    /// Cached spans dropped by generation-tag invalidation during this
-    /// query — the stale-span protection firing after a rewrite.
-    pub cache_invalidations: u64,
     /// Bytes an exact (`φ = 0`) evaluation of this query was *predicted*
     /// to read, from zone maps + classification before evaluation. Exact
     /// object pricing on fixed-stride backends; mean-row/mean-block
@@ -121,6 +61,31 @@ pub struct QueryRecord {
     pub error_bound: f64,
     /// The aggregate values the method returned.
     pub values: Vec<AggregateValue>,
+}
+
+impl QueryRecord {
+    /// The record of query `query_index`, evaluated with `stats`.
+    fn new(
+        query_index: usize,
+        stats: QueryStats,
+        predicted_bytes: u64,
+        error_bound: f64,
+        values: Vec<AggregateValue>,
+    ) -> Self {
+        QueryRecord {
+            query_index,
+            elapsed: stats.elapsed,
+            io: stats.io,
+            lock_wait: stats.lock_wait,
+            predicted_bytes,
+            selected: stats.selected,
+            tiles_partial: stats.tiles_partial,
+            tiles_processed: stats.tiles_processed,
+            tiles_split: stats.tiles_split,
+            error_bound,
+            values,
+        }
+    }
 }
 
 /// One method's run over a workload.
@@ -138,97 +103,24 @@ impl MethodRun {
     }
 
     pub fn total_objects_read(&self) -> u64 {
-        self.records.iter().map(|r| r.objects_read).sum()
+        self.records.iter().map(|r| r.io.objects_read).sum()
     }
 
     /// Total bytes pulled from the raw file across the run — the meter that
     /// separates storage backends for the same query sequence.
     pub fn total_bytes_read(&self) -> u64 {
-        self.records.iter().map(|r| r.bytes_read).sum()
+        self.records.iter().map(|r| r.io.bytes_read).sum()
     }
 
     /// Total `read_rows` calls across the run — the meter that separates
     /// batched from tile-at-a-time adaptation for the same query sequence.
     pub fn total_read_calls(&self) -> u64 {
-        self.records.iter().map(|r| r.read_calls).sum()
-    }
-
-    /// Total storage blocks materialized across the run — the unit the
-    /// zone-map pushdown shrinks for the same query sequence.
-    pub fn total_blocks_read(&self) -> u64 {
-        self.records.iter().map(|r| r.blocks_read).sum()
-    }
-
-    /// Total blocks proven irrelevant by zone maps across the run.
-    pub fn total_blocks_skipped(&self) -> u64 {
-        self.records.iter().map(|r| r.blocks_skipped).sum()
-    }
-
-    /// Total ranged HTTP requests across the run — the meter that separates
-    /// coalesced from naive per-block remote reads for the same sequence.
-    pub fn total_http_requests(&self) -> u64 {
-        self.records.iter().map(|r| r.http_requests).sum()
-    }
-
-    /// Total wire bytes across the run (0 on local backends).
-    pub fn total_http_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.http_bytes).sum()
+        self.records.iter().map(|r| r.io.read_calls).sum()
     }
 
     /// Total remote retries across the run.
     pub fn total_retries(&self) -> u64 {
-        self.records.iter().map(|r| r.retries).sum()
-    }
-
-    /// Peak concurrently in-flight fetch requests over the whole run —
-    /// a max, not a sum: how deep the overlapped pipeline actually got.
-    pub fn max_fetch_inflight(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| r.fetch_inflight_peak)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total adaptive part-sizer parameter changes across the run.
-    pub fn total_parts_resized(&self) -> u64 {
-        self.records.iter().map(|r| r.parts_resized).sum()
-    }
-
-    /// Total cache-served spans across the run (0 uncached).
-    pub fn total_cache_hits(&self) -> u64 {
-        self.records.iter().map(|r| r.cache_hits).sum()
-    }
-
-    /// Total cache misses handed to the transport across the run.
-    pub fn total_cache_misses(&self) -> u64 {
-        self.records.iter().map(|r| r.cache_misses).sum()
-    }
-
-    /// Total cache evictions across the run.
-    pub fn total_cache_evictions(&self) -> u64 {
-        self.records.iter().map(|r| r.cache_evictions).sum()
-    }
-
-    /// Total bytes spilled to the cache's disk tier across the run.
-    pub fn total_cache_spill_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.cache_spill_bytes).sum()
-    }
-
-    /// Total time spent waiting on index locks across the run (zero unless
-    /// the run went through a shared, concurrently accessed index).
-    pub fn total_lock_wait(&self) -> Duration {
-        self.records.iter().map(|r| r.lock_wait).sum()
-    }
-
-    /// Queries answered purely from block synopses across the run.
-    pub fn total_synopsis_hits(&self) -> u64 {
-        self.records.iter().map(|r| r.synopsis_hits).sum()
-    }
-
-    /// Total bytes the pre-evaluation cost model predicted across the run.
-    pub fn total_predicted_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.predicted_bytes).sum()
+        self.records.iter().map(|r| r.io.retries).sum()
     }
 
     /// All per-query fetch latency histograms merged into one run-level
@@ -237,7 +129,7 @@ impl MethodRun {
     pub fn fetch_hist(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
         for r in &self.records {
-            h.merge(&r.fetch_hist);
+            h.merge(&r.io.fetch_hist);
         }
         h
     }
@@ -252,12 +144,18 @@ impl MethodRun {
 
     /// Per-query objects-read series (the paper's cost proxy).
     pub fn objects_series(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.objects_read as f64).collect()
+        self.records
+            .iter()
+            .map(|r| r.io.objects_read as f64)
+            .collect()
     }
 
     /// Per-query bytes-read series (the backend-comparison cost metric).
     pub fn bytes_series(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.bytes_read as f64).collect()
+        self.records
+            .iter()
+            .map(|r| r.io.bytes_read as f64)
+            .collect()
     }
 }
 
@@ -287,43 +185,13 @@ pub fn run_workload(
                     engine_cfg,
                 )?;
                 let res = engine.evaluate(&q.window, &q.aggs)?;
-                records.push(QueryRecord {
-                    query_index: i,
-                    elapsed: res.stats.elapsed,
-                    objects_read: res.stats.io.objects_read,
-                    bytes_read: res.stats.io.bytes_read,
-                    read_calls: res.stats.io.read_calls,
-                    blocks_read: res.stats.io.blocks_read,
-                    blocks_skipped: res.stats.io.blocks_skipped,
-                    http_requests: res.stats.io.http_requests,
-                    http_bytes: res.stats.io.http_bytes,
-                    retries: res.stats.io.retries,
-                    fetch_inflight_peak: res.stats.io.fetch_inflight_peak,
-                    overlap_ratio: res.stats.io.overlap_ratio(),
-                    parts_resized: res.stats.io.parts_resized,
-                    cache_hits: res.stats.io.cache_hits,
-                    cache_misses: res.stats.io.cache_misses,
-                    cache_evictions: res.stats.io.cache_evictions,
-                    cache_spill_bytes: res.stats.io.cache_spill_bytes,
-                    cache_mem_bytes: res.stats.io.cache_mem_bytes,
-                    fetch_hist: res.stats.io.fetch_hist,
-                    lock_wait: res.stats.lock_wait,
-                    synopsis_hits: res.stats.io.synopsis_hits,
-                    synopsis_blocks: res.stats.io.synopsis_blocks,
-                    synopsis_bytes: res.stats.io.synopsis_bytes,
-                    rows_ingested: res.stats.io.rows_ingested,
-                    delta_blocks: res.stats.io.delta_blocks,
-                    compactions: res.stats.io.compactions,
-                    blocks_rewritten: res.stats.io.blocks_rewritten,
-                    cache_invalidations: res.stats.io.cache_invalidations,
-                    predicted_bytes: predicted.bytes,
-                    selected: res.stats.selected,
-                    tiles_partial: res.stats.tiles_partial,
-                    tiles_processed: res.stats.tiles_processed,
-                    tiles_split: res.stats.tiles_split,
-                    error_bound: 0.0,
-                    values: res.values,
-                });
+                records.push(QueryRecord::new(
+                    i,
+                    res.stats,
+                    predicted.bytes,
+                    0.0,
+                    res.values,
+                ));
             }
         }
         Method::Approx { phi } => {
@@ -342,43 +210,13 @@ pub fn run_workload(
                         "query {i} failed to meet phi={phi} after exhausting tiles"
                     )));
                 }
-                records.push(QueryRecord {
-                    query_index: i,
-                    elapsed: res.stats.elapsed,
-                    objects_read: res.stats.io.objects_read,
-                    bytes_read: res.stats.io.bytes_read,
-                    read_calls: res.stats.io.read_calls,
-                    blocks_read: res.stats.io.blocks_read,
-                    blocks_skipped: res.stats.io.blocks_skipped,
-                    http_requests: res.stats.io.http_requests,
-                    http_bytes: res.stats.io.http_bytes,
-                    retries: res.stats.io.retries,
-                    fetch_inflight_peak: res.stats.io.fetch_inflight_peak,
-                    overlap_ratio: res.stats.io.overlap_ratio(),
-                    parts_resized: res.stats.io.parts_resized,
-                    cache_hits: res.stats.io.cache_hits,
-                    cache_misses: res.stats.io.cache_misses,
-                    cache_evictions: res.stats.io.cache_evictions,
-                    cache_spill_bytes: res.stats.io.cache_spill_bytes,
-                    cache_mem_bytes: res.stats.io.cache_mem_bytes,
-                    fetch_hist: res.stats.io.fetch_hist,
-                    lock_wait: res.stats.lock_wait,
-                    synopsis_hits: res.stats.io.synopsis_hits,
-                    synopsis_blocks: res.stats.io.synopsis_blocks,
-                    synopsis_bytes: res.stats.io.synopsis_bytes,
-                    rows_ingested: res.stats.io.rows_ingested,
-                    delta_blocks: res.stats.io.delta_blocks,
-                    compactions: res.stats.io.compactions,
-                    blocks_rewritten: res.stats.io.blocks_rewritten,
-                    cache_invalidations: res.stats.io.cache_invalidations,
-                    predicted_bytes: predicted.bytes,
-                    selected: res.stats.selected,
-                    tiles_partial: res.stats.tiles_partial,
-                    tiles_processed: res.stats.tiles_processed,
-                    tiles_split: res.stats.tiles_split,
-                    error_bound: res.error_bound,
-                    values: res.values,
-                });
+                records.push(QueryRecord::new(
+                    i,
+                    res.stats,
+                    predicted.bytes,
+                    res.error_bound,
+                    res.values,
+                ));
             }
         }
     }

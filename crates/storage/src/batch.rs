@@ -12,27 +12,16 @@
 //!   passes — fewer syscalls and no repeated buffer warm-up.
 //!
 //! Results come back sliced per group, positionally aligned with the input
-//! locators, so callers never re-associate rows by key.
-//!
-//! For very large batches the flat read can optionally be sharded across
-//! threads ([`std::thread::scope`]): every [`RawFile`] serves concurrent
-//! readers (each access opens its own handle), so partitioned fetching is
-//! safe on any backend. Sharding trades one `read_rows` call for
-//! `parallelism` concurrent ones — wall-clock for call count — which is why
-//! it is opt-in.
+//! locators, so callers never re-associate rows by key. Fetch concurrency
+//! lives one level up: the engine overlaps whole fetch units (one call per
+//! attribute set) with its apply stage (`EngineConfig::fetch_workers`).
 
 use pai_common::geometry::Rect;
 use pai_common::{AttrId, Result, RowLocator};
 
 use crate::raw::RawFile;
 
-/// Below this many locators per thread, sharding costs more than it saves;
-/// the fetch degrades to a single call.
-const MIN_LOCATORS_PER_THREAD: usize = 256;
-
-/// Reads several locator groups in one coalesced `read_rows` call (or, with
-/// `parallelism > 1` and a large enough batch, a few concurrent calls over
-/// contiguous shards).
+/// Reads several locator groups in one coalesced `read_rows` call.
 ///
 /// Returns one `Vec` of value rows per input group, each aligned with that
 /// group's locators in order — exactly what a per-group `read_rows` would
@@ -49,52 +38,19 @@ pub fn read_row_groups(
     groups: &[&[RowLocator]],
     attrs: &[AttrId],
     window: Option<&Rect>,
-    parallelism: usize,
 ) -> Result<Vec<Vec<Vec<f64>>>> {
     let total: usize = groups.iter().map(|g| g.len()).sum();
     let mut flat = Vec::with_capacity(total);
     for g in groups {
         flat.extend_from_slice(g);
     }
-    let rows = read_flat(file, &flat, attrs, window, parallelism)?;
+    let rows = file.read_rows_window(&flat, attrs, window)?;
     debug_assert_eq!(rows.len(), total);
     let mut rows = rows.into_iter();
     Ok(groups
         .iter()
         .map(|g| rows.by_ref().take(g.len()).collect())
         .collect())
-}
-
-/// One flat batched read, optionally sharded across scoped threads.
-fn read_flat(
-    file: &dyn RawFile,
-    locators: &[RowLocator],
-    attrs: &[AttrId],
-    window: Option<&Rect>,
-    parallelism: usize,
-) -> Result<Vec<Vec<f64>>> {
-    let shards = parallelism
-        .min(locators.len() / MIN_LOCATORS_PER_THREAD)
-        .max(1);
-    if shards <= 1 {
-        return file.read_rows_window(locators, attrs, window);
-    }
-    let chunk = locators.len().div_ceil(shards);
-    let results: Vec<Result<Vec<Vec<f64>>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = locators
-            .chunks(chunk)
-            .map(|c| s.spawn(move || file.read_rows_window(c, attrs, window)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fetch shard panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(locators.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -114,7 +70,7 @@ mod tests {
         let f = sample(10);
         let g1: Vec<RowLocator> = [3u64, 1].iter().map(|&r| RowLocator::new(r)).collect();
         let g2: Vec<RowLocator> = [9u64, 0, 4].iter().map(|&r| RowLocator::new(r)).collect();
-        let out = read_row_groups(&f, &[&g1, &g2], &[2], None, 1).unwrap();
+        let out = read_row_groups(&f, &[&g1, &g2], &[2], None).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], vec![vec![30.0], vec![10.0]]);
         assert_eq!(out[1], vec![vec![90.0], vec![0.0], vec![40.0]]);
@@ -129,7 +85,7 @@ mod tests {
         let g1: Vec<RowLocator> = (0..4).map(RowLocator::new).collect();
         let g2: Vec<RowLocator> = (4..8).map(RowLocator::new).collect();
         f.counters().reset();
-        let out = read_row_groups(&f, &[&g1, &g2], &[2], None, 1).unwrap();
+        let out = read_row_groups(&f, &[&g1, &g2], &[2], None).unwrap();
         assert_eq!(out[0].len() + out[1].len(), 8);
         assert_eq!(f.counters().seeks(), 1, "adjacent groups fuse into one run");
 
@@ -146,19 +102,10 @@ mod tests {
         let f = sample(4);
         let g1: Vec<RowLocator> = Vec::new();
         let g2: Vec<RowLocator> = vec![RowLocator::new(2)];
-        let out = read_row_groups(&f, &[&g1, &g2, &g1], &[0], None, 1).unwrap();
+        let out = read_row_groups(&f, &[&g1, &g2, &g1], &[0], None).unwrap();
         assert!(out[0].is_empty());
         assert_eq!(out[1], vec![vec![2.0]]);
         assert!(out[2].is_empty());
-    }
-
-    #[test]
-    fn parallel_fetch_matches_serial() {
-        let f = sample(4096);
-        let g: Vec<RowLocator> = (0..4096).rev().map(RowLocator::new).collect();
-        let serial = read_row_groups(&f, &[&g], &[0, 2], None, 1).unwrap();
-        let parallel = read_row_groups(&f, &[&g], &[0, 2], None, 4).unwrap();
-        assert_eq!(serial, parallel, "sharding must not change results");
     }
 
     #[test]
@@ -170,22 +117,9 @@ mod tests {
         let dead: Vec<RowLocator> = (0..4).map(RowLocator::new).collect();
         let live: Vec<RowLocator> = (20..24).map(RowLocator::new).collect();
         let window = pai_common::geometry::Rect::new(20.0, 24.0, 0.0, 1.0);
-        let out = read_row_groups(&f, &[&dead, &live], &[2], Some(&window), 1).unwrap();
+        let out = read_row_groups(&f, &[&dead, &live], &[2], Some(&window)).unwrap();
         assert!(out[0].iter().all(|v| v[0].is_nan()));
         assert_eq!(out[1], vec![vec![20.0], vec![21.0], vec![22.0], vec![23.0]]);
         assert_eq!(f.counters().blocks_skipped(), 1);
-    }
-
-    #[test]
-    fn small_batches_stay_single_call() {
-        let f = sample(16);
-        let g: Vec<RowLocator> = (0..16).map(RowLocator::new).collect();
-        f.counters().reset();
-        read_row_groups(&f, &[&g], &[1], None, 8).unwrap();
-        assert_eq!(
-            f.counters().read_calls(),
-            1,
-            "a tiny batch is not worth sharding"
-        );
     }
 }

@@ -115,8 +115,8 @@ fn main() -> Result<()> {
             step.tiles_processed,
             step.estimate.unwrap_or(f64::NAN),
             step.error_bound * 100.0,
-            step.objects_read,
-            step.blocks_read
+            step.io.objects_read,
+            step.io.blocks_read
         );
     }
     if trace.len() > 8 {

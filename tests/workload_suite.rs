@@ -95,13 +95,13 @@ fn summary_and_csv_over_real_runs() {
     // length, so allow a small relative tolerance for row-length variance
     // (the cost-estimate gate pins per-backend tolerances properly).
     for rec in &runs[0].records {
-        let (p, m) = (rec.predicted_bytes as f64, rec.bytes_read as f64);
+        let (p, m) = (rec.predicted_bytes as f64, rec.io.bytes_read as f64);
         assert!(
             (p - m).abs() <= 0.02 * m + 64.0,
             "query {}: predicted {} vs metered {}",
             rec.query_index,
             rec.predicted_bytes,
-            rec.bytes_read
+            rec.io.bytes_read
         );
     }
 
