@@ -3,55 +3,54 @@
 //! An exploration dashboard typically renders several linked views at once
 //! (map window, heatmap, summary panel) while the user keeps interacting.
 //! [`SharedIndex`] supports that pattern with a `parking_lot` read-write
-//! lock and the **plan → fetch → apply** pipeline:
+//! lock around the index:
 //!
 //! * any number of **readers** run [`SharedIndex::estimate`] concurrently —
 //!   metadata-only answers with confidence intervals, zero file I/O;
-//! * **adaptive queries** ([`SharedIndex::evaluate`]) never hold a lock
-//!   across file I/O. Each refinement round
-//!   1. *plans* under the **read lock**: classifies the window, selects a
-//!      batch of candidate tiles, and computes their pure refinement plans
-//!      (entry snapshots + locators) — readers keep running;
+//! * **adaptive queries** ([`SharedIndex::evaluate`]) run the engine's one
+//!   adaptation loop (the same loop as [`crate::ApproximateEngine`]) with
+//!   shared access to the index, and never hold a lock across file I/O.
+//!   Each refinement round
+//!   1. *plans* under the **read lock**: selects a batch of candidate tiles
+//!      and computes their pure refinement plans (entry snapshots +
+//!      locators) — readers keep running;
 //!   2. *fetches* the batched values with **no lock held** — the expensive
-//!      stage, and the one that used to stall every reader. With
-//!      `fetch_workers > 1` the batch's fetch units stream in overlapped,
-//!      each unit's plans applying while later units are still in flight;
+//!      stage. With `fetch_workers > 1` the batch's fetch units stream in
+//!      overlapped, each unit's plans applying while later units are still
+//!      in flight;
 //!   3. *applies* each plan under **its own short write lock** with an
-//!      optimistic version check ([`pai_index::still_applies`]) at that
-//!      plan's apply moment: if the index changed underneath a plan
-//!      (another writer split the tile), the plan is discarded and the
-//!      affected region re-plans from the refined children on the next
-//!      round. Answers stay sound either way; the conflicted fetch is the
-//!      price of optimism, bounded by one batch per losing writer and
-//!      surfaced in the stats. Per-plan locks mean readers interleave
-//!      between every apply — no reader ever waits behind a whole batch.
+//!      optimistic check ([`pai_index::still_applies`]) at that plan's
+//!      apply moment: if another writer split the tile since planning, the
+//!      plan is discarded and the region re-plans on the next round. If an
+//!      ingest grew the leaf, the leaf is re-planned and only the appended
+//!      rows are read, again with no lock held. Answers stay sound either
+//!      way; the conflicted fetch is the price of optimism, bounded by one
+//!      batch per losing writer and surfaced in the stats. Per-plan locks
+//!      mean readers interleave between every apply — no reader ever waits
+//!      behind a whole batch.
 //!
 //! Lock-wait time and plan conflicts are surfaced in
-//! [`QueryStats::lock_wait`] / [`QueryStats::plan_conflicts`] so dashboards
-//! can watch contention. [`SharedIndex::evaluate_locked`] retains the
-//! pre-pipeline behaviour (write lock across the whole query) as the
-//! sequential-consistency baseline the concurrency benchmarks compare
+//! [`QueryStats::lock_wait`](pai_index::eval::QueryStats::lock_wait) and
+//! [`QueryStats::plan_conflicts`](pai_index::eval::QueryStats::plan_conflicts)
+//! so dashboards can watch contention. [`SharedIndex::evaluate_locked`]
+//! runs the same loop with the write lock held across the whole query, as
+//! the sequential-consistency baseline the concurrency benchmarks compare
 //! against.
 //!
 //! The raw file itself needs no locking: [`RawFile`] implementations open
 //! independent handles per batch and their meters are atomic.
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pai_common::geometry::{Point2, Rect};
-use pai_common::{AggregateFunction, PaiError, Result, RunningStats};
-use pai_index::eval::{query_attrs, QueryStats};
-use pai_index::{apply_enrich, apply_plan, still_applies, ObjectEntry, TileId, ValinorIndex};
+use pai_common::{AggregateFunction, PaiError, Result};
+use pai_index::eval::query_attrs;
+use pai_index::{ObjectEntry, ValinorIndex};
 use pai_storage::raw::{AppendReceipt, RawFile};
 use parking_lot::RwLock;
 
-use crate::config::{validate_phi, EngineConfig};
-use crate::engine::{
-    assess, candidate_views, estimate_readonly, evaluate_on, fetch_plans_each, plan_candidate,
-    synopsis_hit, ApproxResult, BatchPlan,
-};
-use crate::state::QueryState;
+use crate::config::EngineConfig;
+use crate::engine::{estimate_readonly, synopsis_hit, ApproxResult, EvalCtx, IndexAccess};
 
 /// A thread-safe wrapper around one index + raw file + engine config.
 pub struct SharedIndex<F: RawFile> {
@@ -113,29 +112,21 @@ impl<F: RawFile> SharedIndex<F> {
         let lw = Instant::now();
         let index = self.index.read();
         let wait = lw.elapsed();
-        let classification = index.classify(window);
-        let Some(hit) = synopsis_hit(
+        Ok(synopsis_hit(
             &index,
             &self.file,
             &self.config,
             blocks,
             window,
             aggs,
-            classification.selected_total,
             f64::INFINITY,
-        ) else {
-            return Ok(None);
-        };
-        let stats = QueryStats {
-            selected: classification.selected_total,
-            tiles_full: classification.full.len(),
-            tiles_partial: classification.partial.len(),
-            io: self.file.counters().snapshot().since(&io0),
-            elapsed: t0.elapsed(),
-            lock_wait: wait,
-            ..Default::default()
-        };
-        Ok(Some(ApproxResult { stats, ..hit }))
+            t0,
+            &io0,
+        )
+        .map(|mut hit| {
+            hit.stats.lock_wait = wait;
+            hit
+        }))
     }
 
     /// Accuracy-constrained evaluation through the non-blocking pipeline;
@@ -143,11 +134,13 @@ impl<F: RawFile> SharedIndex<F> {
     ///
     /// Readers are never blocked by this method's file I/O: locks are held
     /// only for pure planning (read lock) and the in-memory apply (write
-    /// lock). Concurrent writers may refine the same region; plans whose
-    /// tile changed underneath them are detected by an index version check
-    /// and discarded (counted in `QueryStats::plan_conflicts`), and the
-    /// affected region re-plans against the winner's refined tiles on the
-    /// next round.
+    /// lock). Concurrent writers may refine the same region, and ingest may
+    /// grow it; plans whose tile changed underneath them are detected by
+    /// [`pai_index::still_applies`]. A plan whose tile another writer split
+    /// is discarded (counted in `QueryStats::plan_conflicts`) and the
+    /// region re-plans against the current tiles on the next round; a plan
+    /// whose leaf an ingest grew is re-planned and reads only the appended
+    /// rows.
     ///
     /// Every plan a round fetched is applied, even when the bound meets φ
     /// part-way through the batch; the stop rule is checked once per round.
@@ -158,11 +151,17 @@ impl<F: RawFile> SharedIndex<F> {
     /// the `serve-ingest` benchmark workload (seed 1, a 2-core machine),
     /// stopping mid-batch here cut `leaf_count` from 3984 to 2846 and
     /// raised objects read per query from 12.5k to 17.5k and query p50
-    /// from 1.03 to 1.79 ms. A merged adaptation loop must keep this rule
-    /// or re-measure that workload.
+    /// from 1.03 to 1.79 ms. This rule is the one choice the loop makes by
+    /// how it reaches the index; changing it means re-measuring that
+    /// workload.
     ///
-    /// The per-round state rebuild means the exact float merge order can
-    /// differ in the last ulp from [`crate::ApproximateEngine::evaluate`];
+    /// The query state is updated incrementally as plans apply. The loop
+    /// records the index version after each of its own writes; when the
+    /// version differs at the next plan or apply — another writer or an
+    /// ingest changed the index — the next plan stage rebuilds the state
+    /// from a fresh classification, folding the tiles this query already
+    /// resolved. A single writer therefore never rebuilds. The exact float merge order
+    /// can differ in the last ulp from [`crate::ApproximateEngine::evaluate`];
     /// the confidence intervals remain sound bounds either way.
     pub fn evaluate(
         &self,
@@ -170,165 +169,12 @@ impl<F: RawFile> SharedIndex<F> {
         aggs: &[AggregateFunction],
         phi: f64,
     ) -> Result<ApproxResult> {
-        validate_phi(phi)?;
-        let t0 = Instant::now();
-        let io0 = self.file.counters().snapshot();
-        let attrs = query_attrs(self.file.schema(), aggs)?;
-        let config = &self.config;
-
-        let mut lock_wait = Duration::ZERO;
-        let mut plan_conflicts = 0usize;
-
-        // Synopsis-first: seed metadata-free cold starts (brief write lock,
-        // only when some attribute has no global bounds) and try a zero-I/O
-        // answer under the read lock before entering the adaptation loop.
-        if config.synopsis {
-            if let Some(blocks) = self.file.block_synopses() {
-                let need_seed = {
-                    let index = self.index.read();
-                    attrs.iter().any(|&a| index.global_bounds(a).is_none())
-                };
-                if need_seed {
-                    let lw = Instant::now();
-                    let mut index = self.index.write();
-                    lock_wait += lw.elapsed();
-                    crate::synopsis::seed_missing_global_bounds(&mut index, blocks, &attrs);
-                }
-                let lw = Instant::now();
-                let index = self.index.read();
-                lock_wait += lw.elapsed();
-                let classification = index.classify(window);
-                if let Some(hit) = synopsis_hit(
-                    &index,
-                    &self.file,
-                    config,
-                    blocks,
-                    window,
-                    aggs,
-                    classification.selected_total,
-                    phi,
-                ) {
-                    let stats = QueryStats {
-                        selected: classification.selected_total,
-                        tiles_full: classification.full.len(),
-                        tiles_partial: classification.partial.len(),
-                        io: self.file.counters().snapshot().since(&io0),
-                        elapsed: t0.elapsed(),
-                        lock_wait,
-                        ..Default::default()
-                    };
-                    return Ok(ApproxResult { stats, ..hit });
-                }
-            }
+        EvalCtx {
+            index: IndexAccess::Shared(&self.index),
+            file: &self.file,
+            config: &self.config,
         }
-        // In-window stats of partial tiles this query already processed,
-        // keyed by tile. Rebuilding the state from a fresh snapshot each
-        // round folds these instead of re-reading (tile ids are never
-        // reused, so stale keys are merely ignored).
-        let mut resolved: HashMap<TileId, Vec<RunningStats>> = HashMap::new();
-        let mut step = 0usize;
-        let (mut tiles_processed, mut tiles_split, mut tiles_enriched) = (0usize, 0usize, 0usize);
-        // Initial-classification shape, captured on the first round so the
-        // reported stats mean the same thing as the sequential engine's
-        // (what the query *found*, not what it left behind).
-        let mut initial_shape: Option<(u64, usize, usize)> = None;
-
-        loop {
-            // ---- Stage 1: plan under the read lock (pure). ----
-            let lw = Instant::now();
-            let index = self.index.read();
-            lock_wait += lw.elapsed();
-            let classification = index.classify(window);
-            let (selected, tiles_full, tiles_partial) = *initial_shape.get_or_insert((
-                classification.selected_total,
-                classification.full.len(),
-                classification.partial.len(),
-            ));
-            let state = QueryState::from_classification_resolved(
-                &index,
-                &classification,
-                &attrs,
-                &resolved,
-            )?;
-            let (estimates, bound) = assess(config, aggs, &state);
-            if state.candidates.is_empty() || bound <= phi {
-                let met_constraint = bound <= phi;
-                let (values, cis) = estimates.into_iter().map(|e| (e.value, e.ci)).unzip();
-                let stats = QueryStats {
-                    selected,
-                    tiles_full,
-                    tiles_partial,
-                    tiles_processed,
-                    tiles_split,
-                    tiles_enriched,
-                    io: self.file.counters().snapshot().since(&io0),
-                    elapsed: t0.elapsed(),
-                    lock_wait,
-                    plan_conflicts,
-                };
-                return Ok(ApproxResult {
-                    values,
-                    cis,
-                    error_bound: bound,
-                    phi,
-                    met_constraint,
-                    stats,
-                });
-            }
-            let picks = config.policy.pick_batch(
-                state.candidates.len(),
-                step,
-                config.adapt_batch,
-                |alive| candidate_views(&index, config, aggs, &state, alive),
-            );
-            let plans: Vec<BatchPlan> = picks
-                .iter()
-                .map(|&p| plan_candidate(&index, &state.candidates[p], window, &attrs, config))
-                .collect::<Result<_>>()?;
-            drop(index);
-
-            // ---- Stages 2 + 3, overlapped: fetch with no lock held, apply
-            // each plan under its own short write lock as its fetch unit
-            // lands (later units may still be in flight). Readers — and
-            // competing writers' apply stages — interleave between every
-            // apply, so no one ever waits behind this writer's I/O *or*
-            // behind the rest of its batch. The optimistic version check
-            // runs per plan, against the index as it is at that plan's
-            // apply moment: a fast path when nothing changed since
-            // planning, a slow path while the tile is still a leaf (leaf
-            // entries never change except by splitting the leaf).
-            fetch_plans_each(&self.file, &plans, window, config, |i, values| {
-                let plan = &plans[i];
-                let lw = Instant::now();
-                let mut index = self.index.write();
-                lock_wait += lw.elapsed();
-                if still_applies(&index, plan.tile(), plan.planned_version()) {
-                    match plan {
-                        BatchPlan::Partial(p) => {
-                            let out = apply_plan(&mut index, p, window, &config.adapt, values)?;
-                            tiles_split += usize::from(out.did_split);
-                            resolved.insert(p.tile, out.in_window);
-                            tiles_processed += 1;
-                        }
-                        BatchPlan::Enrich(p) => {
-                            apply_enrich(&mut index, p, values)?;
-                            tiles_processed += 1;
-                            tiles_enriched += 1;
-                        }
-                    }
-                } else {
-                    // Concurrently split: the other writer already refined
-                    // this tile, so discard the plan — its id never
-                    // classifies again (children carry new ids), and the
-                    // region re-plans from the refined children next round.
-                    // The conflicted fetch is the price of optimism,
-                    // bounded by one batch per losing writer.
-                    plan_conflicts += 1;
-                }
-                step += 1;
-                Ok(())
-            })?;
-        }
+        .evaluate(window, aggs, phi)
     }
 
     /// Accuracy-constrained evaluation holding the **write lock for the
@@ -346,7 +192,12 @@ impl<F: RawFile> SharedIndex<F> {
         let lw = Instant::now();
         let mut index = self.index.write();
         let wait = lw.elapsed();
-        let mut res = evaluate_on(&mut index, &self.file, &self.config, window, aggs, phi)?;
+        let mut res = EvalCtx {
+            index: IndexAccess::Owned(&mut index),
+            file: &self.file,
+            config: &self.config,
+        }
+        .evaluate(window, aggs, phi)?;
         res.stats.lock_wait = wait;
         Ok(res)
     }
@@ -355,8 +206,11 @@ impl<F: RawFile> SharedIndex<F> {
     /// as queries: the batch appends to the raw file with **no lock held**
     /// (the backend has its own append latching), then the new entries
     /// extend the index under one short write lock. Readers observe either
-    /// none or all of the batch; adaptive writers racing this method are
-    /// protected by the same version counter their plans already check.
+    /// none or all of the batch. Each adaptive plan records its leaf's
+    /// entry count, which [`pai_index::still_applies`] checks along with
+    /// the version counter, so a plan made before this batch grew its leaf
+    /// is re-planned at apply time rather than installing stats that miss
+    /// the new rows.
     ///
     /// The whole batch is validated against the index domain *before* any
     /// mutation, so a rejected batch neither appends nor indexes — callers
@@ -616,6 +470,34 @@ mod tests {
             b.stats.tiles_processed,
             a.stats.tiles_processed
         );
+    }
+
+    #[test]
+    fn locked_evaluate_matches_owned_engine_bit_for_bit() {
+        // evaluate_locked runs the loop with owned access under the write
+        // lock, so its trajectory is the single-owner engine's exactly.
+        let config = EngineConfig {
+            adapt_batch: 8,
+            ..EngineConfig::paper_evaluation()
+        };
+        let (shared, _) = shared_with(4000, config.clone());
+        let index = shared.with_index(|idx| idx.clone());
+        let mut owned = crate::ApproximateEngine::new(index, shared.file(), config).unwrap();
+        let aggs = [AggregateFunction::Sum(2), AggregateFunction::Mean(3)];
+        for window in [
+            Rect::new(150.0, 650.0, 200.0, 700.0),
+            Rect::new(100.0, 500.0, 100.0, 500.0),
+            Rect::new(300.0, 900.0, 50.0, 450.0),
+        ] {
+            let a = owned.evaluate(&window, &aggs, 0.05).unwrap();
+            let b = shared.evaluate_locked(&window, &aggs, 0.05).unwrap();
+            assert!(a.stats.tiles_processed > 0, "the window must adapt");
+            assert_eq!(a.values, b.values);
+            assert_eq!(a.cis, b.cis);
+            assert_eq!(a.error_bound.to_bits(), b.error_bound.to_bits());
+            assert_eq!(a.stats.tiles_processed, b.stats.tiles_processed);
+            assert_eq!(a.stats.io.objects_read, b.stats.io.objects_read);
+        }
     }
 
     #[test]

@@ -15,20 +15,27 @@
 //!   motivates);
 //! * [`estimate_readonly`] — metadata only, zero I/O, no adaptation (used
 //!   by concurrent readers and overview visualizations).
+//!
+//! [`crate::SharedIndex`]'s adaptive evaluations run the same loop too,
+//! reaching the index through its read-write lock instead of `&mut`.
 
-use std::time::Instant;
+use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
+use std::time::{Duration, Instant};
 
 use pai_common::geometry::Rect;
 use pai_common::{
     AggregateFunction, AggregateValue, AttrId, Interval, IoSnapshot, PaiError, Result, RowLocator,
+    RunningStats,
 };
 use pai_index::eval::{query_attrs, QueryStats};
 use pai_index::{
-    apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, EnrichPlan, ReadPolicy, TileId,
-    TilePlan, ValinorIndex,
+    apply_enrich, apply_plan, fetch_window, plan_enrich, plan_tile, still_applies, EnrichPlan,
+    ReadPolicy, TileId, TilePlan, ValinorIndex,
 };
 use pai_storage::batch::read_row_groups;
 use pai_storage::raw::{BlockSynopsis, RawFile};
+use parking_lot::RwLock;
 
 use crate::bound::upper_error_bound;
 use crate::ci::{estimate_aggregate, AggregateEstimate};
@@ -81,15 +88,106 @@ enum StopRule {
     IoBudget { remaining: u64 },
 }
 
-/// The shared per-query evaluation context: everything the loop needs,
-/// borrowed from whichever owner (engine or shared index) drives it.
-struct EvalCtx<'a> {
-    index: &'a mut ValinorIndex,
-    file: &'a dyn RawFile,
-    config: &'a EngineConfig,
+/// How the adaptation loop reaches the index. The variant makes one
+/// choice in the loop — when the stop rule is checked — and nothing else.
+pub(crate) enum IndexAccess<'a> {
+    /// Exclusive access ([`ApproximateEngine`],
+    /// [`crate::SharedIndex::evaluate_locked`]). The stop rule is checked
+    /// after every applied plan, and the plans a batch fetched past the
+    /// stop point are dropped unapplied, so the processed-tile trajectory
+    /// is the tile-at-a-time loop's at any batch size.
+    Owned(&'a mut ValinorIndex),
+    /// A lock shared with concurrent readers and writers
+    /// ([`crate::SharedIndex::evaluate`]). Plans are made under the read
+    /// lock and each plan is applied under its own write lock, so no lock
+    /// is held across a fetch. Every plan a round fetched is applied and
+    /// the stop rule is checked once per round.
+    Shared(&'a RwLock<ValinorIndex>),
+}
+
+impl IndexAccess<'_> {
+    /// Read access (a plain borrow, or a lock guard); time spent
+    /// acquiring a lock is added to `wait`.
+    fn read(&self, wait: &mut Duration) -> Box<dyn Deref<Target = ValinorIndex> + '_> {
+        match self {
+            IndexAccess::Owned(index) => Box::new(&**index),
+            IndexAccess::Shared(lock) => Box::new(timed(wait, || lock.read())),
+        }
+    }
+
+    /// Write access, like [`Self::read`].
+    fn write(&mut self, wait: &mut Duration) -> Box<dyn DerefMut<Target = ValinorIndex> + '_> {
+        match self {
+            IndexAccess::Owned(index) => Box::new(&mut **index),
+            IndexAccess::Shared(lock) => Box::new(timed(wait, || lock.write())),
+        }
+    }
+}
+
+/// Runs `acquire`, adding the time it took to `wait`.
+fn timed<G>(wait: &mut Duration, acquire: impl FnOnce() -> G) -> G {
+    let t = Instant::now();
+    let guard = acquire();
+    *wait += t.elapsed();
+    guard
+}
+
+/// The per-query evaluation context: how the loop reaches the index, the
+/// file it fetches from, and the engine configuration.
+pub(crate) struct EvalCtx<'a> {
+    pub(crate) index: IndexAccess<'a>,
+    pub(crate) file: &'a dyn RawFile,
+    pub(crate) config: &'a EngineConfig,
+}
+
+/// What one evaluation has established so far.
+struct Progress {
+    /// Exact part plus still-bounded candidates, updated incrementally.
+    state: QueryState,
+    /// The index version `state` reflects: read when the state is built
+    /// and after each of this loop's own writes. Any other reading means
+    /// another writer or an ingest changed the index in between.
+    seen: u64,
+    /// In-window stats of the partial tiles this query processed, keyed
+    /// by tile; a rebuilt state folds these instead of re-reading (tile
+    /// ids are never reused, so stale keys are merely ignored).
+    resolved: HashMap<TileId, Vec<RunningStats>>,
+    stats: QueryStats,
+    /// Plans handled so far (the policy's step counter).
+    step: usize,
+}
+
+impl Progress {
+    /// Rebuilds the state from a fresh classification when the index
+    /// changed since `seen`. Returns whether it did.
+    fn sync(&mut self, index: &ValinorIndex, window: &Rect, attrs: &[AttrId]) -> Result<bool> {
+        if index.version() == self.seen {
+            return Ok(false);
+        }
+        let classification = index.classify(window);
+        self.state = QueryState::from_classification_resolved(
+            index,
+            &classification,
+            attrs,
+            &self.resolved,
+        )?;
+        self.seen = index.version();
+        Ok(true)
+    }
 }
 
 impl EvalCtx<'_> {
+    /// Runs one accuracy-constrained evaluation.
+    pub(crate) fn evaluate(
+        mut self,
+        window: &Rect,
+        aggs: &[AggregateFunction],
+        phi: f64,
+    ) -> Result<ApproxResult> {
+        validate_phi(phi)?;
+        self.run(window, aggs, StopRule::Accuracy { phi }, None)
+    }
+
     fn run(
         &mut self,
         window: &Rect,
@@ -98,66 +196,70 @@ impl EvalCtx<'_> {
         mut trace: Option<&mut Vec<ProgressStep>>,
     ) -> Result<ApproxResult> {
         let t0 = Instant::now();
-        let io0 = self.file.counters().snapshot();
-        let attrs = query_attrs(self.index.schema(), aggs)?;
-
-        let classification = self.index.classify(window);
+        let (file, config) = (self.file, self.config);
+        let io0 = file.counters().snapshot();
+        let attrs = query_attrs(file.schema(), aggs)?;
+        let mut lock_wait = Duration::ZERO;
 
         // Synopsis-first: before any fetch is planned, try to answer the
         // query from the backend's per-block synopses. Even on a miss the
         // pass seeds global attribute bounds for metadata-free cold starts,
         // which must happen before candidates capture their metadata view.
-        if self.config.synopsis {
-            if let Some(blocks) = self.file.block_synopses() {
+        if config.synopsis {
+            if let Some(blocks) = file.block_synopses() {
                 // The hit step reports the synopsis answer's own I/O, not
                 // a lazy synopsis derivation `block_synopses` may have run.
-                let io_syn = self.file.counters().snapshot();
-                crate::synopsis::seed_missing_global_bounds(self.index, blocks, &attrs);
+                let io_syn = file.counters().snapshot();
+                let need_seed = {
+                    let index = self.index.read(&mut lock_wait);
+                    attrs.iter().any(|&a| index.global_bounds(a).is_none())
+                };
+                if need_seed {
+                    let mut index = self.index.write(&mut lock_wait);
+                    crate::synopsis::seed_missing_global_bounds(&mut index, blocks, &attrs);
+                }
                 if let StopRule::Accuracy { phi } = stop {
-                    if let Some(hit) = synopsis_hit(
-                        self.index,
-                        self.file,
-                        self.config,
-                        blocks,
-                        window,
-                        aggs,
-                        classification.selected_total,
-                        phi,
-                    ) {
-                        let mut stats = QueryStats {
-                            selected: classification.selected_total,
-                            tiles_full: classification.full.len(),
-                            tiles_partial: classification.partial.len(),
-                            ..Default::default()
-                        };
-                        stats.io = self.file.counters().snapshot().since(&io0);
-                        stats.elapsed = t0.elapsed();
+                    let index = self.index.read(&mut lock_wait);
+                    if let Some(mut hit) =
+                        synopsis_hit(&index, file, config, blocks, window, aggs, phi, t0, &io0)
+                    {
+                        hit.stats.lock_wait = lock_wait;
                         if let Some(t) = trace.as_deref_mut() {
                             t.push(ProgressStep {
                                 tiles_processed: 0,
                                 error_bound: hit.error_bound,
                                 estimate: hit.values.first().and_then(|v| v.as_f64()),
-                                io: self.file.counters().snapshot().since(&io_syn),
+                                io: file.counters().snapshot().since(&io_syn),
                             });
                         }
-                        return Ok(ApproxResult { stats, ..hit });
+                        return Ok(hit);
                     }
                 }
             }
         }
 
-        let mut state = QueryState::from_classification(self.index, &classification, &attrs)?;
-        let mut stats = QueryStats {
-            selected: classification.selected_total,
-            tiles_full: classification.full.len(),
-            tiles_partial: classification.partial.len(),
-            ..Default::default()
+        let mut q = {
+            let index = self.index.read(&mut lock_wait);
+            let classification = index.classify(window);
+            Progress {
+                state: QueryState::from_classification(&index, &classification, &attrs)?,
+                seen: index.version(),
+                resolved: HashMap::new(),
+                stats: QueryStats {
+                    selected: classification.selected_total,
+                    tiles_full: classification.full.len(),
+                    tiles_partial: classification.partial.len(),
+                    lock_wait,
+                    ..Default::default()
+                },
+                step: 0,
+            }
         };
 
-        // The partial-adaptation loop, pipelined per iteration as
+        // The partial-adaptation loop, pipelined per round as
         // plan (pure) → coalesced fetch → apply + re-check.
-        let mut step = 0usize;
-        let (mut estimates, mut bound) = assess(self.config, aggs, &state);
+        let mid_batch = matches!(self.index, IndexAccess::Owned(_));
+        let (mut estimates, mut bound) = assess(config, aggs, &q.state);
         if let Some(t) = trace.as_deref_mut() {
             t.push(ProgressStep {
                 tiles_processed: 0,
@@ -166,102 +268,89 @@ impl EvalCtx<'_> {
                 io: IoSnapshot::default(),
             });
         }
-        'outer: loop {
-            if state.candidates.is_empty() {
-                break;
-            }
+        loop {
             // Stage 1 — plan: select the batch the sequential loop would
             // process next and compute each tile's pure refinement plan.
-            let picks = match stop {
-                StopRule::Accuracy { phi } => {
-                    if bound <= phi {
-                        break;
-                    }
-                    let (index, config) = (&*self.index, self.config);
-                    config.policy.pick_batch(
-                        state.candidates.len(),
-                        step,
-                        config.adapt_batch,
-                        |alive| candidate_views(index, config, aggs, &state, alive),
-                    )
+            let plans: Vec<BatchPlan> = {
+                let index = self.index.read(&mut q.stats.lock_wait);
+                // Another writer or an ingest may have changed a shared
+                // index since this loop last wrote; owned access never
+                // rebuilds, and has assessed after every apply.
+                if q.sync(&index, window, &attrs)? || !mid_batch {
+                    (estimates, bound) = assess(config, aggs, &q.state);
                 }
-                StopRule::IoBudget { ref mut remaining } => {
-                    if bound <= 0.0 {
-                        break;
-                    }
-                    // Costs must be re-checked against the shrinking budget
-                    // per tile, so budgeted evaluation stays tile-at-a-time.
-                    // Among candidates that fit the budget, let the policy
-                    // choose; stop when nothing fits.
-                    let all: Vec<usize> = (0..state.candidates.len()).collect();
-                    let views = candidate_views(self.index, self.config, aggs, &state, &all);
-                    let affordable: Vec<usize> = (0..views.len())
-                        .filter(|&i| views[i].cost <= *remaining)
-                        .collect();
-                    if affordable.is_empty() {
-                        break;
-                    }
-                    let sub: Vec<CandidateView> = affordable.iter().map(|&i| views[i]).collect();
-                    let chosen = affordable[self.config.policy.pick(&sub, step)];
-                    *remaining = remaining.saturating_sub(views[chosen].cost);
-                    vec![chosen]
+                if q.state.candidates.is_empty() {
+                    break;
                 }
+                let picks = match stop {
+                    StopRule::Accuracy { phi } => {
+                        if bound <= phi {
+                            break;
+                        }
+                        config.policy.pick_batch(
+                            q.state.candidates.len(),
+                            q.step,
+                            config.adapt_batch,
+                            |alive| candidate_views(&index, config, aggs, &q.state, alive),
+                        )
+                    }
+                    StopRule::IoBudget { ref mut remaining } => {
+                        if bound <= 0.0 {
+                            break;
+                        }
+                        // Costs must be re-checked against the shrinking
+                        // budget per tile, so budgeted evaluation stays
+                        // tile-at-a-time. Among candidates that fit the
+                        // budget, let the policy choose; stop when nothing
+                        // fits.
+                        let all: Vec<usize> = (0..q.state.candidates.len()).collect();
+                        let views = candidate_views(&index, config, aggs, &q.state, &all);
+                        let affordable: Vec<usize> = (0..views.len())
+                            .filter(|&i| views[i].cost <= *remaining)
+                            .collect();
+                        if affordable.is_empty() {
+                            break;
+                        }
+                        let sub: Vec<CandidateView> =
+                            affordable.iter().map(|&i| views[i]).collect();
+                        let chosen = affordable[config.policy.pick(&sub, q.step)];
+                        *remaining = remaining.saturating_sub(views[chosen].cost);
+                        vec![chosen]
+                    }
+                };
+                picks
+                    .iter()
+                    .map(|&p| {
+                        plan_candidate(&index, &q.state.candidates[p], window, &attrs, config)
+                    })
+                    .collect::<Result<_>>()?
             };
-            let plans: Vec<BatchPlan> = picks
-                .iter()
-                .map(|&p| {
-                    plan_candidate(
-                        self.index,
-                        &state.candidates[p],
-                        window,
-                        &attrs,
-                        self.config,
-                    )
-                })
-                .collect::<Result<_>>()?;
 
-            // Stage 2 + 3 — fetch and apply, overlapped when configured:
-            // the batch's fetch units (one coalesced read per distinct
-            // attribute set) stream into the apply stage as they complete,
-            // and each plan is installed in sequential pick order with the
-            // stop rule re-evaluated after every tile. Plans fetched past
-            // the stop point are discarded unapplied — and their fetches
-            // still run to completion — so the processed-tile trajectory,
-            // every answer and CI, and every logical meter are identical to
-            // the tile-at-a-time loop at any `fetch_workers` count.
-            let file = self.file;
-            let mut stopped = false;
-            fetch_plans_each(file, &plans, window, self.config, |i, values| {
-                if stopped {
-                    return Ok(());
+            // Stage 2 + 3 — fetch with no lock held and apply. With
+            // `mid_batch` the stop rule is re-evaluated after every tile,
+            // so the trajectory, every answer and CI, and every logical
+            // meter are identical to the tile-at-a-time loop at any batch
+            // size and `fetch_workers` count.
+            let stopped = self.fetch_and_apply(&mut q, &plans, window, |q| {
+                if !mid_batch {
+                    return false;
                 }
-                self.apply_one(&mut state, &plans[i], values, window, &mut stats)?;
-                step += 1;
-                (estimates, bound) = assess(self.config, aggs, &state);
+                (estimates, bound) = assess(config, aggs, &q.state);
                 if let Some(t) = trace.as_deref_mut() {
                     t.push(ProgressStep {
-                        tiles_processed: step,
+                        tiles_processed: q.step,
                         error_bound: bound,
                         estimate: estimates.first().and_then(|e| e.value.as_f64()),
                         io: file.counters().snapshot().since(&io0),
                     });
                 }
                 match stop {
-                    StopRule::Accuracy { phi } => {
-                        if bound <= phi {
-                            stopped = true;
-                        }
-                    }
-                    StopRule::IoBudget { .. } => {
-                        if bound <= 0.0 {
-                            stopped = true;
-                        }
-                    }
+                    StopRule::Accuracy { phi } => bound <= phi,
+                    StopRule::IoBudget { .. } => bound <= 0.0,
                 }
-                Ok(())
             })?;
             if stopped {
-                break 'outer;
+                break;
             }
         }
         let (phi, met_constraint) = match stop {
@@ -269,23 +358,35 @@ impl EvalCtx<'_> {
             StopRule::IoBudget { .. } => (f64::INFINITY, true),
         };
 
-        // Future-work knob: keep adapting after the constraint is met.
-        if let (EagerRefinement::ExtraTiles(extra), true) = (self.config.eager, met_constraint) {
+        // Future-work knob: keep adapting after the constraint is met, one
+        // tile at a time.
+        if let (EagerRefinement::ExtraTiles(extra), true) = (config.eager, met_constraint) {
             let mut done = 0;
-            while done < extra && !state.candidates.is_empty() {
-                let all: Vec<usize> = (0..state.candidates.len()).collect();
-                let views = candidate_views(self.index, self.config, aggs, &state, &all);
-                let pick = self.config.policy.pick(&views, step);
-                self.process_candidate(&mut state, pick, window, &attrs, &mut stats)?;
-                step += 1;
+            while done < extra {
+                let plan = {
+                    let index = self.index.read(&mut q.stats.lock_wait);
+                    q.sync(&index, window, &attrs)?;
+                    if q.state.candidates.is_empty() {
+                        break;
+                    }
+                    let all: Vec<usize> = (0..q.state.candidates.len()).collect();
+                    let views = candidate_views(&index, config, aggs, &q.state, &all);
+                    let pick = config.policy.pick(&views, q.step);
+                    plan_candidate(&index, &q.state.candidates[pick], window, &attrs, config)?
+                };
+                self.fetch_and_apply(&mut q, std::slice::from_ref(&plan), window, |_| false)?;
                 done += 1;
             }
             if done > 0 {
-                (estimates, bound) = assess(self.config, aggs, &state);
+                let index = self.index.read(&mut q.stats.lock_wait);
+                q.sync(&index, window, &attrs)?;
+                drop(index);
+                (estimates, bound) = assess(config, aggs, &q.state);
             }
         }
 
-        stats.io = self.file.counters().snapshot().since(&io0);
+        let mut stats = q.stats;
+        stats.io = file.counters().snapshot().since(&io0);
         stats.elapsed = t0.elapsed();
         let (values, cis) = estimates.into_iter().map(|e| (e.value, e.ci)).unzip();
         Ok(ApproxResult {
@@ -298,64 +399,102 @@ impl EvalCtx<'_> {
         })
     }
 
-    /// Processes candidate `pick` as a one-tile batch: partial tiles go
-    /// through the paper's `process(t)` (plan + read + split + reorganize +
-    /// metadata); full-but-bounded tiles get an enrichment read. Either way
-    /// the candidate's contribution becomes exact. Used by the sequential
-    /// paths (eager refinement) that pick one tile at a time.
-    fn process_candidate(
+    /// Stage 2 + 3 of a round: fetches `plans` with no lock held and
+    /// applies them in plan order, overlapped when configured (see
+    /// [`fetch_plans_each`]). `after` runs after each handled plan; once it
+    /// returns `true` the remaining plans are discarded unapplied (their
+    /// fetches still run to completion). Returns whether it did.
+    fn fetch_and_apply(
         &mut self,
-        state: &mut QueryState,
-        pick: usize,
+        q: &mut Progress,
+        plans: &[BatchPlan],
         window: &Rect,
-        attrs: &[usize],
-        stats: &mut QueryStats,
-    ) -> Result<()> {
-        let plan = plan_candidate(
-            self.index,
-            &state.candidates[pick],
-            window,
-            attrs,
-            self.config,
-        )?;
-        fetch_plans_each(
-            self.file,
-            std::slice::from_ref(&plan),
-            window,
-            self.config,
-            |_, values| self.apply_one(state, &plan, values, window, stats),
-        )
+        mut after: impl FnMut(&Progress) -> bool,
+    ) -> Result<bool> {
+        let (file, config) = (self.file, self.config);
+        let mut stopped = false;
+        fetch_plans_each(file, plans, window, config, |i, values| {
+            if !stopped {
+                self.apply(q, &plans[i], values, window)?;
+                stopped = after(q);
+            }
+            Ok(())
+        })?;
+        Ok(stopped)
     }
 
-    /// Applies one fetched plan, folding the now-exact contribution into
-    /// the query state.
-    fn apply_one(
+    /// Applies one fetched plan under write access, unless another writer
+    /// split its tile since planning: such a plan is discarded and counted
+    /// in `plan_conflicts` (its region re-plans from the current index next
+    /// round; the conflicted fetch is the price of optimism, bounded by one
+    /// batch per losing writer). A plan whose leaf only grew by ingest is
+    /// re-planned instead, and only the appended rows are read, with no
+    /// lock held.
+    ///
+    /// An applied plan's now-exact contribution is folded into the state
+    /// incrementally when nothing else wrote since the state was last in
+    /// sync; otherwise the next plan stage rebuilds the state.
+    fn apply(
         &mut self,
-        state: &mut QueryState,
+        q: &mut Progress,
         plan: &BatchPlan,
         values: &[Vec<f64>],
         window: &Rect,
-        stats: &mut QueryStats,
     ) -> Result<()> {
-        let pick = state
-            .candidates
-            .iter()
-            .position(|c| c.tile == plan.tile())
-            .ok_or_else(|| PaiError::internal("batch plan names an already-resolved candidate"))?;
-        match plan {
+        let config = self.config;
+        let mut index = self.index.write(&mut q.stats.lock_wait);
+        q.step += 1;
+        let mut topped_up = None;
+        if !plan.still_applies(&index) {
+            let Some(fresh) = plan.replan_grown(&index, window, &q.state.attrs, config)? else {
+                q.stats.plan_conflicts += 1;
+                return Ok(());
+            };
+            drop(index);
+            let appended = &fresh.locators()[values.len()..];
+            let mut all = values.to_vec();
+            all.extend(fetch_rows(self.file, &fresh, appended, window, config)?);
+            index = self.index.write(&mut q.stats.lock_wait);
+            if !fresh.still_applies(&index) {
+                q.stats.plan_conflicts += 1;
+                return Ok(());
+            }
+            topped_up = Some((fresh, all));
+        }
+        let (plan, values) = match &topped_up {
+            Some((fresh, all)) => (fresh, &all[..]),
+            None => (plan, values),
+        };
+        let in_sync = index.version() == q.seen;
+        let exact = match plan {
             BatchPlan::Partial(p) => {
-                let out = apply_plan(self.index, p, window, &self.config.adapt, values)?;
-                stats.tiles_processed += 1;
-                stats.tiles_split += usize::from(out.did_split);
-                state.resolve(pick, &out.in_window);
+                let out = apply_plan(&mut index, p, window, &config.adapt, values)?;
+                q.stats.tiles_split += usize::from(out.did_split);
+                out.in_window
             }
             BatchPlan::Enrich(p) => {
-                apply_enrich(self.index, p, values)?;
-                stats.tiles_processed += 1;
-                stats.tiles_enriched += 1;
-                let exact = p.resolved_stats(values)?;
-                state.resolve(pick, &exact);
+                apply_enrich(&mut index, p, values)?;
+                q.stats.tiles_enriched += 1;
+                p.resolved_stats(values)?
             }
+        };
+        let version = index.version();
+        drop(index);
+        q.stats.tiles_processed += 1;
+        if in_sync {
+            q.seen = version;
+            let pick = q
+                .state
+                .candidates
+                .iter()
+                .position(|c| c.tile == plan.tile())
+                .ok_or_else(|| {
+                    PaiError::internal("batch plan names an already-resolved candidate")
+                })?;
+            q.state.resolve(pick, &exact);
+        }
+        if let BatchPlan::Partial(p) = plan {
+            q.resolved.insert(p.tile, exact);
         }
         Ok(())
     }
@@ -364,26 +503,52 @@ impl EvalCtx<'_> {
 /// One candidate's refinement plan: either the full `process(t)` of a
 /// partially-contained tile or the enrichment read of a fully-contained
 /// tile with missing metadata. Both variants are pure plans computed
-/// against an immutable index view; `pai-core::concurrent` fetches them
-/// without holding any lock.
-pub(crate) enum BatchPlan {
+/// against an immutable index view, so they can be fetched with no lock
+/// held.
+enum BatchPlan {
     Partial(TilePlan),
     Enrich(EnrichPlan),
 }
 
 impl BatchPlan {
-    pub(crate) fn tile(&self) -> TileId {
+    fn tile(&self) -> TileId {
         match self {
             BatchPlan::Partial(p) => p.tile,
             BatchPlan::Enrich(p) => p.tile,
         }
     }
 
-    pub(crate) fn planned_version(&self) -> u64 {
-        match self {
-            BatchPlan::Partial(p) => p.planned_version,
-            BatchPlan::Enrich(p) => p.planned_version,
+    /// Re-plans this plan's tile when it is still a leaf that only grew
+    /// by ingest since planning: the fresh plan then reads the same
+    /// attributes and its locators extend this plan's, so this plan's
+    /// fetched rows are the fresh plan's first rows. `None` otherwise.
+    fn replan_grown(
+        &self,
+        index: &ValinorIndex,
+        window: &Rect,
+        attrs: &[AttrId],
+        config: &EngineConfig,
+    ) -> Result<Option<BatchPlan>> {
+        if !index.tile(self.tile()).is_leaf() {
+            return Ok(None);
         }
+        let fresh = match self {
+            BatchPlan::Partial(p) => {
+                BatchPlan::Partial(plan_tile(index, p.tile, window, attrs, &config.adapt)?)
+            }
+            BatchPlan::Enrich(p) => BatchPlan::Enrich(plan_enrich(index, p.tile, attrs)?),
+        };
+        let extends = fresh.read_attrs() == self.read_attrs()
+            && fresh.locators().starts_with(self.locators());
+        Ok(extends.then_some(fresh))
+    }
+
+    fn still_applies(&self, index: &ValinorIndex) -> bool {
+        let (version, entries) = match self {
+            BatchPlan::Partial(p) => (p.planned_version, p.planned_entries),
+            BatchPlan::Enrich(p) => (p.planned_version, p.planned_entries),
+        };
+        still_applies(index, self.tile(), version, entries)
     }
 
     fn locators(&self) -> &[RowLocator] {
@@ -402,7 +567,7 @@ impl BatchPlan {
 }
 
 /// Plans the processing of one candidate (pure, `&index`).
-pub(crate) fn plan_candidate(
+fn plan_candidate(
     index: &ValinorIndex,
     cand: &Candidate,
     window: &Rect,
@@ -433,6 +598,23 @@ fn batch_pushdown<'w>(
             .all(|p| matches!(p, BatchPlan::Enrich(_)))
             .then_some(window)
     })
+}
+
+/// Reads `locators` with `plan`'s attributes and pushdown hint (empty rows
+/// when the plan reads no attributes).
+fn fetch_rows(
+    file: &dyn RawFile,
+    plan: &BatchPlan,
+    locators: &[RowLocator],
+    window: &Rect,
+    config: &EngineConfig,
+) -> Result<Vec<Vec<f64>>> {
+    if plan.read_attrs().is_empty() || locators.is_empty() {
+        return Ok(vec![Vec::new(); locators.len()]);
+    }
+    let pushdown = batch_pushdown(std::slice::from_ref(plan), window, config);
+    let mut groups = read_row_groups(file, &[locators], plan.read_attrs(), pushdown)?;
+    Ok(groups.pop().unwrap_or_default())
 }
 
 /// Groups plan indices by attribute set, preserving first-seen order — one
@@ -485,7 +667,7 @@ fn fetch_units<'p>(
 ///   channel is drained even after an error or an `on_plan` early-out by
 ///   the caller's own flag), so an apply-side stop never truncates the
 ///   batch's I/O differently than the fetch-then-apply path would.
-pub(crate) fn fetch_plans_each(
+fn fetch_plans_each(
     file: &dyn RawFile,
     plans: &[BatchPlan],
     window: &Rect,
@@ -579,8 +761,8 @@ pub(crate) fn fetch_plans_each(
 /// Attempts to answer the whole query from block synopses. `Some` means
 /// the composed estimates' combined bound already meets `phi`: the query
 /// is done with zero data I/O, and the synopsis meters have been ticked.
-/// The returned result carries default stats — the caller owns the
-/// timing/I/O accounting.
+/// The result's stats carry the window's classification, the I/O since
+/// `io0` and the time since `t0`; the caller fills in `lock_wait`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn synopsis_hit(
     index: &ValinorIndex,
@@ -589,16 +771,18 @@ pub(crate) fn synopsis_hit(
     blocks: &[BlockSynopsis],
     window: &Rect,
     aggs: &[AggregateFunction],
-    selected_total: u64,
     phi: f64,
+    t0: Instant,
+    io0: &IoSnapshot,
 ) -> Option<ApproxResult> {
     let schema = index.schema();
+    let classification = index.classify(window);
     let ans = crate::synopsis::try_answer(
         blocks,
         schema.x_axis(),
         schema.y_axis(),
         window,
-        selected_total,
+        classification.selected_total,
         aggs,
         config,
     )?;
@@ -621,12 +805,19 @@ pub(crate) fn synopsis_hit(
         error_bound: bound,
         phi,
         met_constraint: true,
-        stats: QueryStats::default(),
+        stats: QueryStats {
+            selected: classification.selected_total,
+            tiles_full: classification.full.len(),
+            tiles_partial: classification.partial.len(),
+            io: counters.snapshot().since(io0),
+            elapsed: t0.elapsed(),
+            ..Default::default()
+        },
     })
 }
 
 /// Current estimates and the combined (max-over-aggregates) bound.
-pub(crate) fn assess(
+fn assess(
     config: &EngineConfig,
     aggs: &[AggregateFunction],
     state: &QueryState,
@@ -642,7 +833,7 @@ pub(crate) fn assess(
     (estimates, bound)
 }
 
-pub(crate) fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
+fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
     if e.unbounded {
         return f64::INFINITY;
     }
@@ -663,7 +854,7 @@ pub(crate) fn bound_of(config: &EngineConfig, e: &AggregateEstimate) -> f64 {
 /// [`crate::SelectionPolicy::pick_batch`] reproduce the sequential pick
 /// order exactly: after each simulated removal the remaining candidates are
 /// re-normalized just as the one-at-a-time loop would.
-pub(crate) fn candidate_views(
+fn candidate_views(
     index: &ValinorIndex,
     config: &EngineConfig,
     aggs: &[AggregateFunction],
@@ -803,13 +994,7 @@ impl<'f> ApproximateEngine<'f> {
         aggs: &[AggregateFunction],
         phi: f64,
     ) -> Result<ApproxResult> {
-        validate_phi(phi)?;
-        EvalCtx {
-            index: &mut self.index,
-            file: self.file,
-            config: &self.config,
-        }
-        .run(window, aggs, StopRule::Accuracy { phi }, None)
+        self.ctx().evaluate(window, aggs, phi)
     }
 
     /// Like [`Self::evaluate`], additionally returning the progressive
@@ -824,12 +1009,9 @@ impl<'f> ApproximateEngine<'f> {
     ) -> Result<(ApproxResult, Vec<ProgressStep>)> {
         validate_phi(phi)?;
         let mut trace = Vec::new();
-        let res = EvalCtx {
-            index: &mut self.index,
-            file: self.file,
-            config: &self.config,
-        }
-        .run(window, aggs, StopRule::Accuracy { phi }, Some(&mut trace))?;
+        let res = self
+            .ctx()
+            .run(window, aggs, StopRule::Accuracy { phi }, Some(&mut trace))?;
         Ok((res, trace))
     }
 
@@ -856,19 +1038,10 @@ impl<'f> ApproximateEngine<'f> {
         aggs: &[AggregateFunction],
         max_objects: u64,
     ) -> Result<ApproxResult> {
-        EvalCtx {
-            index: &mut self.index,
-            file: self.file,
-            config: &self.config,
-        }
-        .run(
-            window,
-            aggs,
-            StopRule::IoBudget {
-                remaining: max_objects,
-            },
-            None,
-        )
+        let stop = StopRule::IoBudget {
+            remaining: max_objects,
+        };
+        self.ctx().run(window, aggs, stop, None)
     }
 
     /// Metadata-only estimate against the engine's current index state
@@ -876,26 +1049,14 @@ impl<'f> ApproximateEngine<'f> {
     pub fn estimate(&self, window: &Rect, aggs: &[AggregateFunction]) -> Result<ApproxResult> {
         estimate_readonly(&self.index, &self.config, window, aggs)
     }
-}
 
-/// Runs one accuracy-constrained evaluation against an externally owned
-/// index (the building block for [`crate::concurrent::SharedIndex`]).
-pub fn evaluate_on(
-    index: &mut ValinorIndex,
-    file: &dyn RawFile,
-    config: &EngineConfig,
-    window: &Rect,
-    aggs: &[AggregateFunction],
-    phi: f64,
-) -> Result<ApproxResult> {
-    config.validate()?;
-    validate_phi(phi)?;
-    EvalCtx {
-        index,
-        file,
-        config,
+    fn ctx(&mut self) -> EvalCtx<'_> {
+        EvalCtx {
+            index: IndexAccess::Owned(&mut self.index),
+            file: self.file,
+            config: &self.config,
+        }
     }
-    .run(window, aggs, StopRule::Accuracy { phi }, None)
 }
 
 #[cfg(test)]
@@ -1524,6 +1685,71 @@ mod tests {
         assert_eq!(ra.cis, rb.cis);
         assert_eq!(ra.error_bound, rb.error_bound);
         assert_eq!(ra.stats.io.objects_read, rb.stats.io.objects_read);
+    }
+
+    #[test]
+    fn plan_on_a_leaf_grown_by_ingest_reads_only_the_appended_rows() {
+        // Ingest appends a row to a planned leaf between fetch and apply.
+        // The shared apply re-plans the leaf and reads just that row, so
+        // the installed metadata covers every entry.
+        let spec = DatasetSpec {
+            rows: 1500,
+            columns: 4,
+            seed: 63,
+            ..Default::default()
+        };
+        let file = pai_storage::AppendableFile::new(spec.build_mem(CsvFormat::default()).unwrap())
+            .unwrap();
+        let init = InitConfig {
+            grid: GridSpec::Fixed { nx: 4, ny: 4 },
+            domain: Some(spec.domain),
+            metadata: MetadataPolicy::None,
+        };
+        let (index, _) = build(&file, &init).unwrap();
+        let lock = RwLock::new(index);
+        let config = EngineConfig::paper_evaluation();
+        // The whole domain: every leaf is fully covered, so every
+        // candidate is an enrichment read.
+        let window = spec.domain;
+        let attrs = [2];
+        let (plan, mut q) = {
+            let index = lock.read();
+            let state =
+                QueryState::from_classification(&index, &index.classify(&window), &attrs).unwrap();
+            let plan =
+                plan_candidate(&index, &state.candidates[0], &window, &attrs, &config).unwrap();
+            let q = Progress {
+                state,
+                seen: index.version(),
+                resolved: HashMap::new(),
+                stats: QueryStats::default(),
+                step: 0,
+            };
+            (plan, q)
+        };
+        let values = fetch_rows(&file, &plan, plan.locators(), &window, &config).unwrap();
+
+        let tile = plan.tile();
+        let centre = lock.read().tile(tile).rect.center();
+        let row = vec![centre.x, centre.y, 1e6, 0.0];
+        let receipt = file.append_rows(std::slice::from_ref(&row)).unwrap();
+        let entry = pai_index::ObjectEntry::new(centre.x, centre.y, receipt.locators[0]);
+        lock.write().ingest_entry(entry, &row).unwrap();
+
+        file.counters().reset();
+        let mut ctx = EvalCtx {
+            index: IndexAccess::Shared(&lock),
+            file: &file,
+            config: &config,
+        };
+        ctx.apply(&mut q, &plan, &values, &window).unwrap();
+        assert_eq!(q.stats.plan_conflicts, 0);
+        assert_eq!(q.stats.tiles_enriched, 1);
+        assert_eq!(file.counters().objects_read(), 1, "only the appended row");
+        let index = lock.read();
+        let stats = index.tile(tile).meta.get(2).unwrap().exact_stats().unwrap();
+        assert_eq!(stats.count(), index.tile(tile).object_count());
+        assert_eq!(stats.max(), Some(1e6));
     }
 
     #[test]

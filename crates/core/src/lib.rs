@@ -48,7 +48,7 @@ pub use compactor::{
 };
 pub use concurrent::SharedIndex;
 pub use config::{EagerRefinement, EngineConfig, ValueEstimator};
-pub use engine::{estimate_readonly, evaluate_on, ApproxResult, ApproximateEngine};
+pub use engine::{estimate_readonly, ApproxResult, ApproximateEngine};
 pub use policy::SelectionPolicy;
 pub use state::{Candidate, CandidateKind, QueryState};
 pub use synopsis::{predict_query_io, seed_missing_global_bounds, IoPrediction};

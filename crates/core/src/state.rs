@@ -6,7 +6,6 @@
 //! [`QueryState`] holds both; each processing step moves one candidate into
 //! the exact part, monotonically tightening every confidence interval.
 
-use pai_common::geometry::Rect;
 use pai_common::{AttrId, Interval, PaiError, Result, RunningStats};
 use pai_index::{AttrMeta, Classification, TileId, ValinorIndex};
 
@@ -98,11 +97,10 @@ impl QueryState {
     /// `resolved` fold their (previously computed) exact in-window stats
     /// into the exact part instead of becoming candidates again.
     ///
-    /// This is the re-planning primitive of the concurrent pipeline
-    /// (`crate::concurrent::SharedIndex`): an evaluation that rebuilds its
-    /// state from a fresh index snapshot each round must not re-read tiles
-    /// it already processed — values in the raw file are immutable, so the
-    /// remembered stats stay exact forever.
+    /// This is the adaptation loop's rebuild primitive, used when another
+    /// writer or an ingest changed a shared index mid-query: the rebuilt
+    /// state must not re-read tiles the query already processed — values
+    /// in the raw file are immutable, so the remembered stats stay exact.
     pub(crate) fn from_classification_resolved(
         index: &ValinorIndex,
         classification: &Classification,
@@ -216,29 +214,10 @@ impl QueryState {
     }
 }
 
-/// Width of a candidate's sum-contribution interval for attribute `i` —
-/// the `w(t)` of the tile-selection score (the paper defines the tile
-/// confidence interval for sums as `[count·min, count·max]`).
-pub fn candidate_sum_width(c: &Candidate, i: usize, assume_non_null: bool) -> f64 {
-    c.sum_bounds(i, assume_non_null)
-        .map_or(f64::INFINITY, |iv| iv.width())
-}
-
-/// Convenience: builds the candidate list's classification against a window
-/// and the state in one call (used by tests and the engine).
-pub fn classify_and_build(
-    index: &ValinorIndex,
-    window: &Rect,
-    attrs: &[AttrId],
-) -> Result<(Classification, QueryState)> {
-    let classification = index.classify(window);
-    let state = QueryState::from_classification(index, &classification, attrs)?;
-    Ok((classification, state))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pai_common::geometry::Rect;
     use pai_index::{build_test_index, TestIndexSpec};
 
     fn test_state(metadata: bool) -> (ValinorIndex, QueryState) {
@@ -255,8 +234,8 @@ mod tests {
             with_metadata: metadata,
         };
         let index = build_test_index(&spec);
-        let window = Rect::new(0.0, 12.0, 0.0, 12.0);
-        let (_, state) = classify_and_build(&index, &window, &[2]).unwrap();
+        let classification = index.classify(&Rect::new(0.0, 12.0, 0.0, 12.0));
+        let state = QueryState::from_classification(&index, &classification, &[2]).unwrap();
         (index, state)
     }
 
@@ -301,17 +280,14 @@ mod tests {
     }
 
     #[test]
-    fn candidate_sum_width_metric() {
-        let (_, state) = test_state(true);
-        let w = candidate_sum_width(&state.candidates[0], 0, true);
-        assert!((w - 20.0).abs() < 1e-12, "2 x (30-20)");
+    fn candidate_without_bounds_is_unbounded() {
         let unbounded = Candidate {
             tile: TileId(0),
             selected: 1,
             kind: CandidateKind::Partial,
             meta: vec![None],
         };
-        assert!(candidate_sum_width(&unbounded, 0, true).is_infinite());
+        assert!(unbounded.sum_bounds(0, true).is_none());
         assert!(unbounded.is_unbounded());
     }
 

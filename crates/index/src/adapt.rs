@@ -78,6 +78,9 @@ pub struct TilePlan {
     pub read_attrs: Vec<AttrId>,
     /// Index mutation counter at plan time (optimistic-concurrency stamp).
     pub planned_version: u64,
+    /// The leaf's entry count at plan time (the second stamp
+    /// [`still_applies`] checks: ingest appends entries to leaves).
+    pub planned_entries: usize,
     /// Snapshot of the tile's entries at plan time.
     entries: Vec<crate::entry::ObjectEntry>,
     /// Per-entry window membership, aligned with `entries`.
@@ -186,6 +189,7 @@ pub fn plan_tile(
         locators,
         read_attrs,
         planned_version: index.version(),
+        planned_entries: entries.len(),
         entries,
         in_window,
         entry_of,
@@ -194,14 +198,27 @@ pub fn plan_tile(
 }
 
 /// The optimistic-concurrency applicability check, in one place: a plan
-/// computed at `planned_version` still applies if nothing changed since
-/// planning, or — since leaf entries never change except by splitting the
-/// leaf — if its tile is still a leaf. Concurrent writers call this under
-/// the write lock immediately before [`apply_plan`] / [`apply_enrich`];
-/// a `false` means another writer split the tile underneath the plan, which
-/// must then be discarded (the region re-plans from the refined children).
-pub fn still_applies(index: &ValinorIndex, tile: TileId, planned_version: u64) -> bool {
-    index.version() == planned_version || index.tile(tile).is_leaf()
+/// computed at `planned_version` over a leaf of `planned_entries` entries
+/// still applies if nothing changed since planning, or if its tile is still
+/// a leaf with the same entry count. A leaf's entries change in two ways
+/// only: a split turns it into an inner tile, and streaming ingest
+/// ([`ValinorIndex::ingest_entry`]) appends to it — so an unchanged count
+/// on a leaf means unchanged entries. Writers call this under the write
+/// lock immediately before [`apply_plan`] / [`apply_enrich`]; a `false`
+/// means another writer split the tile or an ingest grew it underneath the
+/// plan, which must then not be applied. (A grown leaf can be planned
+/// afresh: its new plan's locators extend the old plan's.)
+pub fn still_applies(
+    index: &ValinorIndex,
+    tile: TileId,
+    planned_version: u64,
+    planned_entries: usize,
+) -> bool {
+    if index.version() == planned_version {
+        return true;
+    }
+    let tile = index.tile(tile);
+    tile.is_leaf() && tile.entries().len() == planned_entries
 }
 
 /// Applies a fetched plan: performs the split decision, reorganizes
@@ -210,10 +227,8 @@ pub fn still_applies(index: &ValinorIndex, tile: TileId, planned_version: u64) -
 ///
 /// `values` must be the rows fetched for `plan.locators` (in order) with
 /// `plan.read_attrs` as columns. The caller is responsible for the tile
-/// still being a leaf; under optimistic concurrency, check
-/// `index.version()` against [`TilePlan::planned_version`] (or
-/// `index.tile(plan.tile).is_leaf()`) first and fall back to
-/// [`TilePlan::in_window_stats`] when the plan no longer applies.
+/// still being the leaf it planned; under optimistic concurrency, check
+/// [`still_applies`] first and discard the plan when it no longer applies.
 pub fn apply_plan(
     index: &mut ValinorIndex,
     plan: &TilePlan,
@@ -415,6 +430,8 @@ pub struct EnrichPlan {
     pub read_attrs: Vec<AttrId>,
     /// Index mutation counter at plan time (optimistic-concurrency stamp).
     pub planned_version: u64,
+    /// The leaf's entry count at plan time (see [`still_applies`]).
+    pub planned_entries: usize,
     /// Per query attribute: where its exact stats come from.
     sources: Vec<EnrichSource>,
 }
@@ -492,6 +509,7 @@ pub fn plan_enrich(index: &ValinorIndex, tile_id: TileId, attrs: &[AttrId]) -> R
         locators,
         read_attrs,
         planned_version: index.version(),
+        planned_entries: tile.entries().len(),
         sources,
     })
 }
@@ -556,19 +574,11 @@ pub fn enrich_tile(
     apply_enrich(index, &plan, &values)
 }
 
-/// Test/diagnostic helper: entry counts per leaf under a rectangle.
-pub fn leaf_population(index: &ValinorIndex, rect: &Rect) -> Vec<(TileId, u64)> {
-    index
-        .leaves_overlapping(rect)
-        .into_iter()
-        .map(|id| (id, index.tile(id).object_count()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EnrichPolicy;
+    use crate::entry::ObjectEntry;
     use crate::init::{build, GridSpec, InitConfig};
     use crate::split::SplitPolicy;
     use pai_common::geometry::Point2;
@@ -577,6 +587,10 @@ mod tests {
     /// 3x3 grid over [0,30)^2; objects mirror the spirit of Figure 1:
     /// col2 is the "rating" attribute with value 10*i.
     fn setup() -> (MemFile, ValinorIndex) {
+        setup_with(crate::config::MetadataPolicy::AllNumeric)
+    }
+
+    fn setup_with(metadata: crate::config::MetadataPolicy) -> (MemFile, ValinorIndex) {
         let rows = vec![
             vec![2.0, 12.0, 10.0],  // t1-ish: left-middle cell
             vec![8.0, 18.0, 20.0],  // t1-ish
@@ -590,7 +604,7 @@ mod tests {
         let cfg = InitConfig {
             grid: GridSpec::Fixed { nx: 3, ny: 3 },
             domain: Some(Rect::new(0.0, 30.0, 0.0, 30.0)),
-            metadata: crate::config::MetadataPolicy::AllNumeric,
+            metadata,
         };
         let (idx, _) = build(&f, &cfg).unwrap();
         (f, idx)
@@ -805,6 +819,54 @@ mod tests {
         // The fetched values still resolve the contribution purely.
         let stats = plan.in_window_stats(&values).unwrap();
         assert_eq!(stats[0].sum(), 40.0);
+    }
+
+    #[test]
+    fn ingest_into_a_planned_leaf_invalidates_the_plan() {
+        // Ingest appends to a leaf without splitting it. A plan made before
+        // the append must not apply after it: enrichment would install
+        // exact stats that miss the new row.
+        let (f, mut idx) = setup_with(crate::config::MetadataPolicy::None);
+        let q = Rect::new(11.0, 15.0, 11.0, 16.0);
+        let centre = idx.leaf_for_point(Point2::new(15.0, 15.0)).unwrap();
+        let cfg = adapt_cfg(SplitPolicy::QueryAligned, ReadPolicy::WindowOnly);
+        let enrich = plan_enrich(&idx, centre, &[2]).unwrap();
+        let partial = plan_tile(&idx, centre, &q, &[2], &cfg).unwrap();
+        assert_eq!(enrich.planned_entries, 2);
+
+        // A write elsewhere bumps the version; the centre plans still apply.
+        let corner = idx.leaf_for_point(Point2::new(25.0, 5.0)).unwrap();
+        enrich_tile(&mut idx, &f, corner, &[2]).unwrap();
+        assert_ne!(idx.version(), enrich.planned_version);
+        assert!(still_applies(&idx, centre, enrich.planned_version, 2));
+
+        idx.ingest_entry(
+            ObjectEntry::new(15.0, 15.0, RowLocator::new(7)),
+            &[15.0, 15.0, 1000.0],
+        )
+        .unwrap();
+        assert!(idx.tile(centre).is_leaf(), "ingest never splits");
+        assert!(!still_applies(
+            &idx,
+            centre,
+            enrich.planned_version,
+            enrich.planned_entries
+        ));
+        assert!(!still_applies(
+            &idx,
+            centre,
+            partial.planned_version,
+            partial.planned_entries
+        ));
+        // A fresh plan sees the grown leaf and applies.
+        let fresh = plan_enrich(&idx, centre, &[2]).unwrap();
+        assert_eq!(fresh.planned_entries, 3);
+        assert!(still_applies(
+            &idx,
+            centre,
+            fresh.planned_version,
+            fresh.planned_entries
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use pai_common::{AggregateValue, IoSnapshot, LatencyHistogram, PaiError, Result};
+use pai_common::{AggregateValue, IoSnapshot, PaiError, Result};
 use pai_core::{ApproximateEngine, EngineConfig};
 use pai_index::eval::QueryStats;
 use pai_index::init::{build, InitConfig};
@@ -121,17 +121,6 @@ impl MethodRun {
     /// Total remote retries across the run.
     pub fn total_retries(&self) -> u64 {
         self.records.iter().map(|r| r.io.retries).sum()
-    }
-
-    /// All per-query fetch latency histograms merged into one run-level
-    /// distribution — p50/p99 over every transport request the run
-    /// issued, regardless of which query issued it.
-    pub fn fetch_hist(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for r in &self.records {
-            h.merge(&r.io.fetch_hist);
-        }
-        h
     }
 
     /// Per-query evaluation times in seconds (the Figure 2 series).
