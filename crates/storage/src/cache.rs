@@ -47,7 +47,7 @@
 //! a local file is harmless. Per-file private caches come from
 //! [`crate::HttpOptions`] carrying a [`CacheConfig`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,7 +62,8 @@ use crate::raw::{
 use crate::schema::Schema;
 
 /// Lock shards: enough that concurrent readers on different blocks rarely
-/// contend, few enough that the global-LRU eviction scan stays cheap.
+/// contend. Finding a global-LRU victim reads the head of every shard's
+/// tick index, one lock at a time, so it costs O(SHARDS · log n).
 const SHARDS: usize = 16;
 
 /// Per-shard cap on the ghost (touched-once) set; exceeding it clears the
@@ -132,6 +133,12 @@ enum Tier {
     Disk(PathBuf),
 }
 
+impl Tier {
+    fn is_mem(&self) -> bool {
+        matches!(self, Tier::Mem(_))
+    }
+}
+
 struct Entry {
     tier: Tier,
     /// Logical LRU clock value at last touch.
@@ -140,10 +147,63 @@ struct Entry {
 
 #[derive(Default)]
 struct Shard {
+    /// Resident entries. Changed only through [`Shard::insert`] and
+    /// [`Shard::remove`], which keep the tick indexes in step with it.
     map: HashMap<Key, Entry>,
+    /// Memory-tier entries by `last_used`. Ticks come from one global
+    /// counter and tag at most one entry each, so they are unique and the
+    /// first key is this shard's least recently used memory entry.
+    mem_lru: BTreeMap<u64, Key>,
+    /// Disk-tier entries by `last_used`, likewise.
+    disk_lru: BTreeMap<u64, Key>,
     /// Ghost set: spans a `Stream`-mode batch missed once. A second miss
     /// promotes to admission.
     touched: HashSet<Key>,
+}
+
+impl Shard {
+    fn lru_mut(&mut self, mem: bool) -> &mut BTreeMap<u64, Key> {
+        if mem {
+            &mut self.mem_lru
+        } else {
+            &mut self.disk_lru
+        }
+    }
+
+    /// Inserts `entry` under `key` and indexes it by tick, returning the
+    /// entry it replaced (already unindexed).
+    fn insert(&mut self, key: Key, entry: Entry) -> Option<Entry> {
+        let (tick, mem) = (entry.last_used, entry.tier.is_mem());
+        let old = self.map.insert(key, entry);
+        if let Some(old) = &old {
+            self.lru_mut(old.tier.is_mem()).remove(&old.last_used);
+        }
+        self.lru_mut(mem).insert(tick, key);
+        self.debug_check();
+        old
+    }
+
+    /// Removes `key`'s entry and its tick-index slot.
+    fn remove(&mut self, key: &Key) -> Option<Entry> {
+        let old = self.map.remove(key)?;
+        self.lru_mut(old.tier.is_mem()).remove(&old.last_used);
+        self.debug_check();
+        Some(old)
+    }
+
+    /// The shard's least recently used entry of one tier, as `(key, tick)`.
+    fn coldest(&self, mem: bool) -> Option<(Key, u64)> {
+        let lru = if mem { &self.mem_lru } else { &self.disk_lru };
+        lru.first_key_value().map(|(&tick, &key)| (key, tick))
+    }
+
+    fn debug_check(&self) {
+        debug_assert_eq!(
+            self.map.len(),
+            self.mem_lru.len() + self.disk_lru.len(),
+            "every entry indexed exactly once"
+        );
+    }
 }
 
 /// A bounded, sharded, two-tier block cache keyed by `(object, span)`.
@@ -267,7 +327,7 @@ impl BlockCache {
                 .copied()
                 .collect();
             for key in victims {
-                if let Some(entry) = shard.map.remove(&key) {
+                if let Some(entry) = shard.remove(&key) {
                     self.forget(&key, entry);
                     removed += 1;
                 }
@@ -284,23 +344,26 @@ impl BlockCache {
         let key = Key { object, off, len };
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shards[shard_of(&key)].lock().expect("cache shard");
-        let entry = shard.map.get_mut(&key)?;
+        // Take the entry out and re-insert it under its new tick, which
+        // moves it to the hot end of its tier's index.
+        let mut entry = shard.remove(&key)?;
         entry.last_used = tick;
-        match &entry.tier {
-            Tier::Mem(data) => Some(Arc::clone(data)),
+        let data = match &entry.tier {
+            Tier::Mem(data) => Arc::clone(data),
             Tier::Disk(path) => match std::fs::read(path) {
-                Ok(bytes) if bytes.len() as u64 == len => Some(Arc::new(bytes)),
+                Ok(bytes) if bytes.len() as u64 == len => Arc::new(bytes),
                 _ => {
-                    // Torn, truncated, or vanished spill file: drop the
-                    // entry and report a miss — correctness never depends
-                    // on the spill tier.
+                    // Torn, truncated, or vanished spill file: leave the
+                    // entry out and report a miss — correctness never
+                    // depends on the spill tier.
                     let _ = std::fs::remove_file(path);
-                    shard.map.remove(&key);
                     self.disk_used.fetch_sub(len, Ordering::Relaxed);
-                    None
+                    return None;
                 }
             },
-        }
+        };
+        shard.insert(key, entry);
+        Some(data)
     }
 
     /// Offers a fetched miss span to the cache under `mode`'s admission
@@ -333,7 +396,7 @@ impl BlockCache {
                 tier: Tier::Mem(Arc::new(data.to_vec())),
                 last_used: tick,
             };
-            if let Some(old) = shard.map.insert(key, entry) {
+            if let Some(old) = shard.insert(key, entry) {
                 self.forget(&key, old);
             }
             self.mem_used.fetch_add(len, Ordering::Relaxed);
@@ -362,7 +425,7 @@ impl BlockCache {
     /// lock is ever held at a time.
     fn enforce_budgets(&self, c: &IoCounters) {
         while self.mem_used.load(Ordering::Relaxed) > self.cfg.mem_bytes {
-            let Some((s, key, tick)) = self.coldest(|t| matches!(t, Tier::Mem(_))) else {
+            let Some((s, key, tick)) = self.coldest(true) else {
                 break;
             };
             let mut shard = self.shards[s].lock().expect("cache shard");
@@ -371,17 +434,17 @@ impl BlockCache {
             let still = shard
                 .map
                 .get(&key)
-                .is_some_and(|e| e.last_used == tick && matches!(e.tier, Tier::Mem(_)));
+                .is_some_and(|e| e.last_used == tick && e.tier.is_mem());
             if !still {
                 continue;
             }
-            let entry = shard.map.remove(&key).expect("checked above");
+            let entry = shard.remove(&key).expect("checked above");
             self.mem_used.fetch_sub(key.len, Ordering::Relaxed);
             c.add_cache_evictions(1);
             if key.len <= self.cfg.disk_bytes {
                 if let Tier::Mem(data) = &entry.tier {
                     if let Some(path) = self.spill(&key, data, c) {
-                        shard.map.insert(
+                        shard.insert(
                             key,
                             Entry {
                                 tier: Tier::Disk(path),
@@ -394,40 +457,34 @@ impl BlockCache {
             }
         }
         while self.disk_used.load(Ordering::Relaxed) > self.cfg.disk_bytes {
-            let Some((s, key, tick)) = self.coldest(|t| matches!(t, Tier::Disk(_))) else {
+            let Some((s, key, tick)) = self.coldest(false) else {
                 break;
             };
             let mut shard = self.shards[s].lock().expect("cache shard");
             let still = shard
                 .map
                 .get(&key)
-                .is_some_and(|e| e.last_used == tick && matches!(e.tier, Tier::Disk(_)));
+                .is_some_and(|e| e.last_used == tick && !e.tier.is_mem());
             if !still {
                 continue;
             }
-            let entry = shard.map.remove(&key).expect("checked above");
-            self.forget_disk_entry(&key, entry);
+            let entry = shard.remove(&key).expect("checked above");
+            self.forget(&key, entry);
             c.add_cache_evictions(1);
         }
     }
 
-    fn forget_disk_entry(&self, key: &Key, entry: Entry) {
-        if let Tier::Disk(path) = entry.tier {
-            let _ = std::fs::remove_file(path);
-            self.disk_used.fetch_sub(key.len, Ordering::Relaxed);
-        }
-    }
-
-    /// Globally coldest entry matching `pick`, as `(shard, key, tick)`.
-    /// Scans shards one lock at a time; the caller re-validates the victim
-    /// under its shard lock before acting.
-    fn coldest(&self, pick: impl Fn(&Tier) -> bool) -> Option<(usize, Key, u64)> {
+    /// Globally coldest entry of the memory (`mem`) or disk tier, as
+    /// `(shard, key, tick)`: the oldest of the shards' index heads, read
+    /// one lock at a time. The caller re-validates the victim under its
+    /// shard lock before acting.
+    fn coldest(&self, mem: bool) -> Option<(usize, Key, u64)> {
         let mut best: Option<(usize, Key, u64)> = None;
         for (s, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock().expect("cache shard");
-            for (key, entry) in &shard.map {
-                if pick(&entry.tier) && best.is_none_or(|(_, _, t)| entry.last_used < t) {
-                    best = Some((s, *key, entry.last_used));
+            let head = shard.lock().expect("cache shard").coldest(mem);
+            if let Some((key, tick)) = head {
+                if best.is_none_or(|(_, _, t)| tick < t) {
+                    best = Some((s, key, tick));
                 }
             }
         }
@@ -455,9 +512,10 @@ impl BlockCache {
 
 impl Drop for BlockCache {
     fn drop(&mut self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard");
-            for (_, entry) in shard.map.drain() {
+        for shard in &mut self.shards {
+            // Take the whole shard, so the map and its indexes go together.
+            let shard = std::mem::take(shard.get_mut().expect("cache shard"));
+            for (_, entry) in shard.map {
                 if let Tier::Disk(path) = entry.tier {
                     let _ = std::fs::remove_file(path);
                 }
@@ -782,5 +840,153 @@ mod tests {
             }
         });
         assert!(cache.mem_used() <= 2048);
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Memory budget of the modelled cache: a handful of entries.
+        const MEM: u64 = 256;
+        /// Span lengths; the last never fits the memory tier.
+        const LENS: [u64; 5] = [24, 48, 64, 100, 300];
+
+        /// Brute-force reference LRU: the same admission rules, with every
+        /// victim found by scanning all entries for the oldest tick.
+        #[derive(Default)]
+        struct Model {
+            disk_bytes: u64,
+            clock: u64,
+            /// Resident entries: `(in memory, last_used, fill byte)`.
+            entries: HashMap<Key, (bool, u64, u8)>,
+            touched: HashSet<Key>,
+            evictions: u64,
+        }
+
+        impl Model {
+            fn used(&self, mem: bool) -> u64 {
+                self.entries
+                    .iter()
+                    .filter(|(_, e)| e.0 == mem)
+                    .map(|(k, _)| k.len)
+                    .sum()
+            }
+
+            fn coldest(&self, mem: bool) -> Option<Key> {
+                self.entries
+                    .iter()
+                    .filter(|(_, e)| e.0 == mem)
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(k, _)| *k)
+            }
+
+            fn admit(&mut self, key: Key, fill: u8, mode: CacheMode) {
+                self.clock += 1;
+                if mode == CacheMode::Stream && self.touched.insert(key) {
+                    return;
+                }
+                if key.len > MEM {
+                    return;
+                }
+                self.entries.insert(key, (true, self.clock, fill));
+                while self.used(true) > MEM {
+                    let Some(victim) = self.coldest(true) else {
+                        break;
+                    };
+                    self.evictions += 1;
+                    if victim.len <= self.disk_bytes {
+                        self.entries.get_mut(&victim).unwrap().0 = false;
+                    } else {
+                        self.entries.remove(&victim);
+                    }
+                }
+                while self.used(false) > self.disk_bytes {
+                    let Some(victim) = self.coldest(false) else {
+                        break;
+                    };
+                    self.evictions += 1;
+                    self.entries.remove(&victim);
+                }
+            }
+
+            fn lookup(&mut self, key: Key) -> Option<u8> {
+                self.clock += 1;
+                let entry = self.entries.get_mut(&key)?;
+                entry.1 = self.clock;
+                Some(entry.2)
+            }
+
+            fn invalidate(&mut self, object: u64) {
+                self.entries.retain(|k, _| k.object != object);
+                self.touched.retain(|k| k.object != object);
+            }
+        }
+
+        /// Resident keys and whether each is in the memory tier.
+        fn resident(cache: &BlockCache) -> HashMap<Key, bool> {
+            let mut out = HashMap::new();
+            for shard in &cache.shards {
+                let shard = shard.lock().unwrap();
+                for (key, entry) in &shard.map {
+                    out.insert(*key, entry.tier.is_mem());
+                }
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every step of a random admit/lookup/mark_hot/invalidate
+            /// sequence leaves the same entries in the same tiers, and the
+            /// same eviction count, as the brute-force LRU model.
+            #[test]
+            fn victims_match_the_brute_force_lru(
+                disk_slots in 0usize..3,
+                ops in prop::collection::vec(
+                    (0u32..10, 0u64..2, 0u64..8, 0usize..LENS.len(), any::<u8>()),
+                    1..160,
+                ),
+            ) {
+                let disk_bytes = [0, 64, 384][disk_slots];
+                let c = IoCounters::new();
+                let cache = BlockCache::new(CacheConfig::new(MEM, disk_bytes));
+                let objects = [cache.object_id("a"), cache.object_id("b")];
+                let mut model = Model { disk_bytes, ..Model::default() };
+                for (step, &(op, obj, slot, len_ix, fill)) in ops.iter().enumerate() {
+                    let key = Key { object: objects[obj as usize], off: slot * 128, len: LENS[len_ix] };
+                    match op {
+                        0..=5 => {
+                            let mode = if op < 4 { CacheMode::Admit } else { CacheMode::Stream };
+                            let data = vec![fill; key.len as usize];
+                            cache.admit(key.object, key.off, &data, mode, &c);
+                            model.admit(key, fill, mode);
+                        }
+                        6 | 7 => {
+                            let got = cache.lookup(key.object, key.off, key.len);
+                            let want = model.lookup(key);
+                            prop_assert_eq!(got.is_some(), want.is_some(), "step {}: hit", step);
+                            if let (Some(got), Some(fill)) = (got, want) {
+                                prop_assert!(got.len() as u64 == key.len && got.iter().all(|&b| b == fill));
+                            }
+                        }
+                        8 => {
+                            cache.mark_hot(key.object, &[(key.off, key.len)]);
+                            model.touched.insert(key);
+                        }
+                        _ => {
+                            cache.invalidate_object(key.object);
+                            model.invalidate(key.object);
+                        }
+                    }
+                    let want: HashMap<Key, bool> =
+                        model.entries.iter().map(|(k, e)| (*k, e.0)).collect();
+                    prop_assert_eq!(resident(&cache), want, "step {}: resident set", step);
+                    prop_assert_eq!(c.cache_evictions(), model.evictions, "step {}", step);
+                    prop_assert_eq!(cache.mem_used(), model.used(true));
+                    prop_assert_eq!(cache.disk_used(), model.used(false));
+                }
+            }
+        }
     }
 }

@@ -642,13 +642,15 @@ impl HttpBlob {
     }
 
     /// Drops every span this blob has cached (no-op without a bound
-    /// cache), metering the removals as `cache_invalidations`. Returns how
-    /// many entries were dropped.
+    /// cache), metering the removals as `cache_invalidations` and
+    /// republishing the `cache_mem_bytes` gauge. Returns how many entries
+    /// were dropped.
     pub fn invalidate_cached_spans(&self) -> u64 {
         let Some(b) = self.cache.get() else { return 0 };
         let n = b.cache.invalidate_object(b.object);
         if n > 0 {
             self.client.counters.add_cache_invalidations(n);
+            self.client.counters.set_cache_mem_bytes(b.cache.mem_used());
         }
         n
     }
@@ -1637,6 +1639,25 @@ mod tests {
         let again = blob.read_spans(&mixed).unwrap();
         assert_eq!(again, bufs);
         assert_eq!(blob.counters().http_requests() - before, 0);
+    }
+
+    #[test]
+    fn invalidation_republishes_the_mem_gauge() {
+        let store = ObjectStore::serve().unwrap();
+        store.put("blob", vec![0x5Au8; 2048]);
+        let opts = HttpOptions::default().with_cache(CacheConfig::new(1 << 20, 0));
+        let blob = HttpBlob::open(store.addr(), "blob", opts, IoCounters::new()).unwrap();
+        blob.read_spans(&[(0u64, 64u64), (256, 64)]).unwrap();
+        let cache = &blob.cache.get().expect("private cache bound").cache;
+        assert_eq!(blob.counters().cache_mem_bytes(), 128, "admits published");
+
+        assert_eq!(blob.invalidate_cached_spans(), 2);
+        assert_eq!(cache.mem_used(), 0);
+        assert_eq!(
+            blob.counters().cache_mem_bytes(),
+            cache.mem_used(),
+            "gauge follows the released bytes"
+        );
     }
 
     #[test]
